@@ -1,5 +1,5 @@
-// Command benchgate records and gates performance snapshots: the
-// BENCH_PR<k>.json trajectory every PR is judged against.
+// Command benchgate records and gates performance snapshots: the one
+// committed BENCH_BASELINE.json every change is judged against.
 //
 // Record mode runs the canonical scenarios (single-packet, finite and
 // indefinite CM-5/CR transfers, one flit-level netload sweep point) N times
@@ -17,10 +17,10 @@
 //
 // Usage:
 //
-//	benchgate -record BENCH_PR2.json -label PR2        # write a snapshot
+//	benchgate -record BENCH_BASELINE.json -label BASELINE -n 3 -parallel 1  # re-record the baseline
 //	benchgate -record out.json -n 10 -words 128        # heavier recording
 //	benchgate -record out.json -parallel 1             # serial reps (comparable host numbers)
-//	benchgate -compare BENCH_PR2.json fresh.json       # full gate
+//	benchgate -compare BENCH_BASELINE.json fresh.json  # full gate
 //	benchgate -compare -sim-only old.json new.json     # CI: exact sim gate only
 //	benchgate -compare -threshold 0.2 -alpha 0.01 old.json new.json
 //

@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"msglayer/internal/obs/diff"
@@ -12,21 +15,62 @@ import (
 )
 
 // record runs the tool in record mode with tiny parameters.
-func record(t *testing.T, path string) {
-	t.Helper()
+func record(path string) error {
 	var stdout, stderr bytes.Buffer
 	args := []string{"-record", path, "-label", "t", "-n", "2", "-words", "16", "-netload-cycles", "100"}
 	if code := run(args, &stdout, &stderr); code != 0 {
-		t.Fatalf("benchgate %v exited %d: %s", args, code, stderr.String())
+		return fmt.Errorf("benchgate %v exited %d: %s", args, code, stderr.String())
 	}
+	return nil
+}
+
+// The shared recording: a full snapshot costs seconds of benchmarks, so
+// the test binary records one and every test reads a private copy of it.
+var fixture struct {
+	once sync.Once
+	dir  string
+	err  error
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if fixture.dir != "" {
+		os.RemoveAll(fixture.dir)
+	}
+	os.Exit(code)
+}
+
+// recorded returns a private copy of the shared recording in the test's
+// temp dir, so a test may rewrite its copy without touching the others'.
+func recorded(t *testing.T) string {
+	t.Helper()
+	fixture.once.Do(func() {
+		if fixture.dir, fixture.err = os.MkdirTemp("", "benchgate-fixture"); fixture.err == nil {
+			fixture.err = record(filepath.Join(fixture.dir, "a.json"))
+		}
+	})
+	if fixture.err != nil {
+		t.Fatal(fixture.err)
+	}
+	data, err := os.ReadFile(filepath.Join(fixture.dir, "a.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "a.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 func TestBenchgateIdenticalSeedSnapshotsPass(t *testing.T) {
-	dir := t.TempDir()
-	a, b := filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")
-	// Two independent recordings of the same seeds and sizes.
-	record(t, a)
-	record(t, b)
+	// Two independent recordings of the same seeds and sizes: the shared
+	// one and a fresh one.
+	a := recorded(t)
+	b := filepath.Join(filepath.Dir(a), "b.json")
+	if err := record(b); err != nil {
+		t.Fatal(err)
+	}
 
 	var stdout, stderr bytes.Buffer
 	// Sim metrics must be identical across recordings; host timing is
@@ -45,9 +89,8 @@ func TestBenchgateIdenticalSeedSnapshotsPass(t *testing.T) {
 }
 
 func TestBenchgateInjectedRegressionFails(t *testing.T) {
-	dir := t.TempDir()
-	a := filepath.Join(dir, "a.json")
-	record(t, a)
+	a := recorded(t)
+	dir := filepath.Dir(a)
 
 	snap, err := perfreg.ReadFile(a)
 	if err != nil {
@@ -101,9 +144,8 @@ func injectRegression(t *testing.T, from, to string) {
 }
 
 func TestBenchgateFailureIncludesAttribution(t *testing.T) {
-	dir := t.TempDir()
-	a := filepath.Join(dir, "a.json")
-	record(t, a)
+	a := recorded(t)
+	dir := filepath.Dir(a)
 	bad := filepath.Join(dir, "bad.json")
 	injectRegression(t, a, bad)
 
@@ -130,9 +172,8 @@ func TestBenchgateFailureIncludesAttribution(t *testing.T) {
 }
 
 func TestBenchgateCompareJSON(t *testing.T) {
-	dir := t.TempDir()
-	a := filepath.Join(dir, "a.json")
-	record(t, a)
+	a := recorded(t)
+	dir := filepath.Dir(a)
 	bad := filepath.Join(dir, "bad.json")
 	injectRegression(t, a, bad)
 

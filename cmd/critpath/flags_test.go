@@ -14,8 +14,6 @@ func TestFlagValidationTable(t *testing.T) {
 	}{
 		{"zero parallel", []string{"-parallel", "0"}},
 		{"negative parallel", []string{"-parallel", "-2"}},
-		{"zero shards", []string{"-shards", "0"}},
-		{"negative shards", []string{"-shards", "-1"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -74,8 +74,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ablations := fs.Bool("ablations", false, "run the ablation experiments")
 	parallel := fs.Int("parallel", 0,
 		"worker goroutines for the full experiment run (0 = GOMAXPROCS, 1 = serial; forced serial when an observer is attached)")
-	shardsFlag := fs.Int("shards", 0,
-		"engine shards for the flit-level experiments (0 = auto: GOMAXPROCS split across the -parallel workers, which take precedence; 1 = serial engine; results are byte-identical at any value)")
 	quiet := fs.Bool("quiet", false, "print only the comparison summary")
 	asJSON := fs.Bool("json", false, "print a machine-readable JSON summary instead of text")
 	metrics := fs.String("metrics", "", "dump runtime metrics to a file after the runs (\"-\" = stdout)")
@@ -94,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if err := parsweep.ValidatePositiveFlags(fs, "parallel", "shards"); err != nil {
+	if err := parsweep.ValidatePositiveFlags(fs, "parallel"); err != nil {
 		fmt.Fprintln(stderr, "msgbench:", err)
 		return 1
 	}
@@ -102,13 +100,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "msgbench: -timeline-interval must be >= 1")
 		return 1
 	}
-	// Engine shards for the flit-level experiments: the worker fan-out
-	// (barrier-free, whole experiments at a time) takes precedence, and the
-	// product of workers and shards stays within GOMAXPROCS. Results are
-	// byte-identical at any shard count.
-	experiments.SetFlitShards(parsweep.Shards(*shardsFlag, parsweep.Workers(*parallel)))
-	defer experiments.SetFlitShards(0)
-
 	var rules *monitor.RuleSet
 	if *sloRulesPath != "" {
 		var err error

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"syscall"
@@ -83,23 +82,11 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRunShardedMatchesSerial is the sharded engine's CLI contract: every
-// artifact — the report table, metrics dump, Chrome trace, critical-path
-// report, and timeline — must be byte-identical at any -shards value, and
-// sharding must compose with -parallel without changing a byte either.
-// Only the "# shards:" metadata line may differ, and it is stripped before
-// comparing.
-func TestRunShardedMatchesSerial(t *testing.T) {
-	stripShardsLine := func(s string) string {
-		var keep []string
-		for _, line := range strings.Split(s, "\n") {
-			if strings.HasPrefix(line, "# shards:") {
-				continue
-			}
-			keep = append(keep, line)
-		}
-		return strings.Join(keep, "\n")
-	}
+// TestRunArtifactsParallelMatchesSerial extends the determinism contract
+// to every artifact on a multi-VC mesh: the report table, metrics dump,
+// Chrome trace, critical-path report, and timeline must be byte-identical
+// at any worker count.
+func TestRunArtifactsParallelMatchesSerial(t *testing.T) {
 	runWith := func(extra ...string) (stdout, metrics, trace, critpath, tl string) {
 		dir := t.TempDir()
 		mPath := filepath.Join(dir, "m.txt")
@@ -121,16 +108,13 @@ func TestRunShardedMatchesSerial(t *testing.T) {
 			}
 			return string(b)
 		}
-		return stripShardsLine(out.String()), read(mPath), read(tPath), read(cPath), read(tlPath)
+		return out.String(), read(mPath), read(tPath), read(cPath), read(tlPath)
 	}
 	serial := [5]string{}
-	serial[0], serial[1], serial[2], serial[3], serial[4] = runWith("-shards", "1", "-parallel", "1")
+	serial[0], serial[1], serial[2], serial[3], serial[4] = runWith("-parallel", "1")
 	names := [5]string{"stdout", "metrics", "trace", "critpath", "timeline"}
 	for _, variant := range [][]string{
-		{"-shards", "2", "-parallel", "1"},
-		{"-shards", "3", "-parallel", "1"},
-		{"-shards", "2", "-parallel", "4"},
-		// No -shards: the unset flag auto-sizes (explicit 0 is now an error).
+		{"-parallel", "4"},
 		{"-parallel", "2"},
 	} {
 		got := [5]string{}
@@ -140,27 +124,6 @@ func TestRunShardedMatchesSerial(t *testing.T) {
 				t.Errorf("%s differs between serial and %v", names[i], variant)
 			}
 		}
-	}
-}
-
-// TestRunShardsClampWarning: a -shards value beyond the topology's router
-// count is clamped with a warning, never fatal, and the report prints the
-// effective count.
-func TestRunShardsClampWarning(t *testing.T) {
-	// The GOMAXPROCS budget clamp runs first; pin it high so the
-	// router-count clamp is what fires regardless of the host's cores.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-	var out, errOut strings.Builder
-	code := run([]string{"-topology", "mesh", "-w", "2", "-h", "2", "-vc", "2",
-		"-loads", "0.1", "-cycles", "100", "-shards", "64", "-parallel", "1"}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, errOut.String())
-	}
-	if !strings.Contains(errOut.String(), "clamped to 4") {
-		t.Errorf("stderr missing clamp warning:\n%s", errOut.String())
-	}
-	if !strings.Contains(out.String(), "# shards: 4") {
-		t.Errorf("report missing effective shard count:\n%s", out.String())
 	}
 }
 
@@ -184,11 +147,11 @@ func TestRunErrors(t *testing.T) {
 // sane (at least the minimum path length).
 func TestMeasureMonotoneBelowSaturation(t *testing.T) {
 	topo := topology.MustFatTree(2, 2)
-	lo, latLo, _, _, err := measure(topo, flitnet.Deterministic, 1, workload.Uniform{}, 0.02, 1500, 7, false, 1, nil, nil)
+	lo, latLo, _, _, err := measure(topo, flitnet.Deterministic, 1, workload.Uniform{}, 0.02, 1500, 7, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, latHi, _, idle, err := measure(topo, flitnet.Deterministic, 1, workload.Uniform{}, 0.10, 1500, 7, false, 1, nil, nil)
+	hi, latHi, _, idle, err := measure(topo, flitnet.Deterministic, 1, workload.Uniform{}, 0.10, 1500, 7, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,6 @@ import (
 
 	"msglayer/internal/obs"
 	"msglayer/internal/obs/timeline"
-	"msglayer/internal/parsweep"
 	"msglayer/internal/trace"
 )
 
@@ -41,15 +40,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	timelineOut := fs.String("timeline-out", "",
 		"sample the figure runs' metrics into windowed deltas on the machine-round clock and write the timeline (\"-\" = stdout; a .csv suffix selects CSV, otherwise JSON)")
 	timelineInterval := fs.Int("timeline-interval", 16, "timeline window width in machine rounds")
-	shardsFlag := fs.Int("shards", 0,
-		"accepted for flag uniformity with the flit-level tools; the figure machines run on the word-level network, which has no sharded engine, so this flag has no effect")
-	_ = shardsFlag // validated and reported, never consumed: no sharded engine here
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if err := parsweep.ValidatePositiveFlags(fs, "shards"); err != nil {
-		fmt.Fprintln(stderr, "nettrace:", err)
-		return 1
 	}
 	if *timelineInterval < 1 {
 		fmt.Fprintln(stderr, "nettrace: -timeline-interval must be >= 1")
@@ -96,7 +88,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintln(stdout, tr)
 	}
-	fmt.Fprintln(stdout, "# shards: 1 (accepted for flag uniformity; the word-level figure machines have no sharded engine)")
 
 	if hub != nil {
 		if *metricsOut != "" {

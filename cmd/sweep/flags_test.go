@@ -14,8 +14,6 @@ func TestFlagValidationTable(t *testing.T) {
 	}{
 		{"zero parallel", []string{"-parallel", "0"}},
 		{"negative parallel", []string{"-parallel", "-2"}},
-		{"zero shards", []string{"-shards", "0"}},
-		{"negative shards", []string{"-shards", "-1"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -27,18 +25,6 @@ func TestFlagValidationTable(t *testing.T) {
 				t.Fatalf("unclear message: %q", errOut.String())
 			}
 		})
-	}
-}
-
-// TestShardsLine: -shards is accepted for uniformity only, and the report
-// says so the way netload reports its effective shard count.
-func TestShardsLine(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run([]string{"-sizes", "4", "-words", "16"}, &out, &errOut); code != 0 {
-		t.Fatalf("exit %d: %s", code, errOut.String())
-	}
-	if !strings.Contains(out.String(), "# shards: 1") {
-		t.Errorf("missing # shards line:\n%s", out.String())
 	}
 }
 

@@ -53,9 +53,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	ooo := fs.Float64("ooo", 0.5, "fraction of packets arriving out of order (indefinite protocols)")
 	ackGroup := fs.Int("ackgroup", 1, "acknowledgement group size (indefinite CMAM)")
 	parallel := fs.Int("parallel", 0, "worker goroutines for the sweep (0 = GOMAXPROCS, 1 = serial)")
-	shardsFlag := fs.Int("shards", 0,
-		"accepted for flag uniformity with the flit-level tools; the sweep's protocol points run on the word-level network, which has no sharded engine, so this flag has no effect")
-	_ = shardsFlag // validated and reported, never consumed: no sharded engine here
 	twinCol := fs.Bool("twin", false,
 		"run each point on the real simulator too and append sim-total and twin-err% columns (predicted vs measured; requires -ooo 0.5, the stream substrate's actual reorder fraction)")
 	csv := fs.Bool("csv", false, "emit CSV")
@@ -66,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if err := parsweep.ValidatePositiveFlags(fs, "parallel", "shards"); err != nil {
+	if err := parsweep.ValidatePositiveFlags(fs, "parallel"); err != nil {
 		fmt.Fprintln(stderr, "sweep:", err)
 		return 1
 	}
@@ -226,7 +223,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 0
 	}
 	fmt.Fprint(stdout, report.Series(title, "n", names, points))
-	fmt.Fprintln(stdout, "# shards: 1 (accepted for flag uniformity; the word-level protocol network has no sharded engine)")
 	return 0
 }
 

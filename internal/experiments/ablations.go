@@ -304,9 +304,7 @@ func FlitLevelDemo() (Result, error) {
 			Topology:    topology.MustFatTree(4, 2),
 			Mode:        mode,
 			BufferFlits: 3,
-			Shards:      flitShards,
 		})
-		defer n.Close()
 		for seq := 0; seq < perFlow; seq++ {
 			for _, fl := range flows {
 				p := network.Packet{Src: fl[0], Dst: fl[1],
@@ -489,9 +487,7 @@ func RoutingTradeoffAblation() (Result, error) {
 			Mode:        mode,
 			BufferFlits: 3,
 			InjectQueue: 4096,
-			Shards:      flitShards,
 		})
-		defer net.Close()
 		sched, err := cost.NewPaperSchedule(net.PacketWords())
 		if err != nil {
 			return 0, 0, 0, 0, err

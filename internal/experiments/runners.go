@@ -26,17 +26,6 @@ var observer *obs.Hub
 // record through.
 func SetObserver(h *obs.Hub) { observer = h }
 
-// flitShards is the engine shard count the flit-level experiments build
-// their networks with. The sharded engine is byte-identical to the serial
-// one at any count, so this knob only changes wall clock, never results —
-// which is why it can be a package global rather than a per-run parameter.
-var flitShards int
-
-// SetFlitShards sets the engine shard count for the flit-level experiments
-// (0 or 1 selects the serial engine). Results are byte-identical at any
-// value; the perfreg sim gate relies on that.
-func SetFlitShards(n int) { flitShards = n }
-
 // Result is one experiment's output.
 type Result struct {
 	ID          string

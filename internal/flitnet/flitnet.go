@@ -105,14 +105,9 @@ type Config struct {
 	// to 1. CR mode always uses a single channel: its padding and
 	// implicit-acknowledgement semantics assume the worm owns its path.
 	VirtualChannels int
-	// Shards partitions the routers into contiguous ranges run on their
-	// own worker goroutines inside a per-cycle barrier (see shard.go).
-	// Results are byte-identical at any shard count. 0 and 1 select the
-	// serial engine; values above the router count clamp to it. CR mode,
-	// the dense reference, and nets with an acceptance check installed
-	// always run serial (kills sweep the whole network; the sharded engine
-	// excludes them by construction). Callers that tick a sharded net
-	// should Close it when done to release the workers.
+	// Shards is kept for source compatibility with callers written for an
+	// earlier multi-goroutine engine. The net always runs the one serial
+	// engine: New accepts 0 and 1 and rejects every other value.
 	Shards int
 }
 
@@ -422,12 +417,6 @@ type Net struct {
 	// jump (covering the frozen cycles in between). The timeline sampler
 	// hangs off it.
 	onCycle func(cycle uint64)
-
-	// sh, when non-nil, is the sharded engine (Config.Shards > 1): the
-	// routers are partitioned across worker goroutines behind a per-cycle
-	// barrier, with results byte-identical to the serial engine. See
-	// shard.go.
-	sh *shardEngine
 }
 
 // New builds the network.
@@ -467,6 +456,9 @@ func New(cfg Config) (*Net, error) {
 	}
 	if cfg.Mode == CR {
 		cfg.VirtualChannels = 1 // CR worms own their path end to end
+	}
+	if cfg.Shards != 0 && cfg.Shards != 1 {
+		return nil, fmt.Errorf("flitnet: Shards must be 0 or 1 (the engine is serial), got %d", cfg.Shards)
 	}
 	nodes := cfg.Topology.Nodes()
 	n := &Net{
@@ -519,19 +511,6 @@ func New(cfg Config) (*Net, error) {
 		}
 	}
 	n.lanes.grow(int(total))
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("flitnet: shards must be >= 0, got %d", cfg.Shards)
-	}
-	shards := cfg.Shards
-	if shards > len(n.routers) {
-		shards = len(n.routers)
-	}
-	if cfg.Mode == CR || cfg.DenseReference {
-		shards = 1 // serial-only modes; see Config.Shards
-	}
-	if shards > 1 {
-		n.sh = newShardEngine(n, shards)
-	}
 	return n, nil
 }
 
@@ -585,17 +564,11 @@ func (n *Net) Nodes() int { return n.cfg.Topology.Nodes() }
 func (n *Net) PacketWords() int { return n.cfg.PacketWords }
 
 // SetAcceptor installs a destination's header-acceptance check (CR mode).
-// Installing a non-nil acceptor on a sharded net migrates it onto the
-// serial engine: acceptors can reject — and hence kill — in any mode, and
-// the sharded engine excludes kills by construction.
 func (n *Net) SetAcceptor(node int, a network.Acceptor) error {
 	if node < 0 || node >= n.Nodes() {
 		return fmt.Errorf("flitnet: no node %d", node)
 	}
 	n.accepts[node] = a
-	if a != nil && n.sh != nil {
-		n.unshard()
-	}
 	return nil
 }
 
@@ -631,15 +604,7 @@ func (n *Net) Inject(p network.Packet) error {
 	}
 	f.pushBack(w)
 	n.queuedWorms++
-	if e := n.sh; e != nil {
-		if int(f.idx) == len(e.flowShard) {
-			srcRouter, _ := n.cfg.Topology.NodePort(p.Src)
-			e.flowShard = append(e.flowShard, e.shardOfRouter[srcRouter])
-		}
-		e.shards[e.flowShard[f.idx]].ready.add(f.idx)
-	} else {
-		n.ready.add(f.idx)
-	}
+	n.ready.add(f.idx)
 	n.queued[p.Src]++
 	n.stats.Injected++
 	if n.obs != nil {
@@ -810,6 +775,10 @@ func (n *Net) FlitStats() Stats { return n.stats }
 
 // Cycle returns the current simulated cycle.
 func (n *Net) Cycle() uint64 { return n.cycle }
+
+// Close is a no-op kept for callers written against an earlier engine
+// that owned worker goroutines; the serial engine holds no resources.
+func (n *Net) Close() {}
 
 // IdleSkipped returns how many cycles the engine fast-forwarded over
 // instead of stepping individually. Skipped cycles are still counted in

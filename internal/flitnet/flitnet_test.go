@@ -29,6 +29,16 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Topology: topology.MustMesh(2, 2), BufferFlits: 1}); err == nil {
 		t.Error("accepted one-flit buffers")
 	}
+	for _, shards := range []int{0, 1} {
+		if _, err := New(Config{Topology: topology.MustMesh(2, 2), Shards: shards}); err != nil {
+			t.Errorf("Shards %d rejected: %v", shards, err)
+		}
+	}
+	for _, shards := range []int{-1, 2} {
+		if _, err := New(Config{Topology: topology.MustMesh(2, 2), Shards: shards}); err == nil {
+			t.Errorf("accepted Shards %d", shards)
+		}
+	}
 }
 
 func TestMustNewPanics(t *testing.T) {

@@ -372,17 +372,17 @@ func TestMonitorQuantileReplay(t *testing.T) {
 	}
 }
 
-// TestParseRulesJSONAndYAML: both syntaxes produce the same set, and the
-// evaluation agrees.
-func TestParseRulesJSONAndYAML(t *testing.T) {
-	jsonSrc := `{
+// rulesJSON and rulesYAML are the same rule set in both syntaxes; the
+// parser tests and the fuzz seed corpus share them.
+const rulesJSON = `{
   "rules": [
     {"name": "floor", "kind": "rate", "match": {"prefix": "net_delivered_total"}, "min": 100, "for_windows": 2},
     {"name": "lat", "kind": "quantile", "match": {"prefix": "transfer_latency_rounds", "contains": ["proto=\"cr\""]}, "quantile": "p90", "max": 64},
     {"name": "burn", "kind": "burn", "num": {"prefix": "errors_total"}, "den": {"prefix": "requests_total"}, "budget_permille": 50}
   ]
 }`
-	yamlSrc := `# same rules in the yaml subset
+
+const rulesYAML = `# same rules in the yaml subset
 rules:
   - name: floor
     kind: rate
@@ -405,11 +405,15 @@ rules:
       prefix: requests_total
     budget_permille: 50
 `
-	a, err := ParseRules([]byte(jsonSrc))
+
+// TestParseRulesJSONAndYAML: both syntaxes produce the same set, and the
+// evaluation agrees.
+func TestParseRulesJSONAndYAML(t *testing.T) {
+	a, err := ParseRules([]byte(rulesJSON))
 	if err != nil {
 		t.Fatalf("json: %v", err)
 	}
-	b, err := ParseRules([]byte(yamlSrc))
+	b, err := ParseRules([]byte(rulesYAML))
 	if err != nil {
 		t.Fatalf("yaml: %v", err)
 	}
@@ -430,21 +434,24 @@ func jsonMarshal(v any) (string, error) {
 	return string(b), err
 }
 
+// rejectedRules are documents the parser must refuse, with the error
+// substring each one produces.
+var rejectedRules = []struct{ name, src, want string }{
+	{"empty", `{"rules": []}`, "no rules"},
+	{"no-name", `{"rules": [{"kind": "rate", "match": {"prefix": "x"}, "min": 1}]}`, "name is required"},
+	{"dup-name", `{"rules": [{"name": "a", "kind": "rate", "match": {"prefix": "x"}, "min": 1}, {"name": "a", "kind": "rate", "match": {"prefix": "x"}, "min": 1}]}`, "duplicate"},
+	{"bad-kind", `{"rules": [{"name": "a", "kind": "nope"}]}`, "unknown kind"},
+	{"bad-quantile", `{"rules": [{"name": "a", "kind": "quantile", "match": {"prefix": "x"}, "quantile": "p42", "max": 1}]}`, "unknown quantile"},
+	{"rate-no-bound", `{"rules": [{"name": "a", "kind": "rate", "match": {"prefix": "x"}}]}`, "max and/or min"},
+	{"burn-no-den", `{"rules": [{"name": "a", "kind": "burn", "num": {"prefix": "x"}, "budget_permille": 1}]}`, "num and den"},
+	{"unknown-field", `{"rules": [{"name": "a", "kind": "rate", "match": {"prefix": "x"}, "min": 1, "oops": 2}]}`, "unknown field"},
+	{"yaml-tab", "rules:\n\t- name: a", "tabs"},
+	{"yaml-junk", "rules:\n  - name: a\n bad", "outside the root block"},
+}
+
 // TestParseRulesRejects pins validation and parser errors.
 func TestParseRulesRejects(t *testing.T) {
-	cases := []struct{ name, src, want string }{
-		{"empty", `{"rules": []}`, "no rules"},
-		{"no-name", `{"rules": [{"kind": "rate", "match": {"prefix": "x"}, "min": 1}]}`, "name is required"},
-		{"dup-name", `{"rules": [{"name": "a", "kind": "rate", "match": {"prefix": "x"}, "min": 1}, {"name": "a", "kind": "rate", "match": {"prefix": "x"}, "min": 1}]}`, "duplicate"},
-		{"bad-kind", `{"rules": [{"name": "a", "kind": "nope"}]}`, "unknown kind"},
-		{"bad-quantile", `{"rules": [{"name": "a", "kind": "quantile", "match": {"prefix": "x"}, "quantile": "p42", "max": 1}]}`, "unknown quantile"},
-		{"rate-no-bound", `{"rules": [{"name": "a", "kind": "rate", "match": {"prefix": "x"}}]}`, "max and/or min"},
-		{"burn-no-den", `{"rules": [{"name": "a", "kind": "burn", "num": {"prefix": "x"}, "budget_permille": 1}]}`, "num and den"},
-		{"unknown-field", `{"rules": [{"name": "a", "kind": "rate", "match": {"prefix": "x"}, "min": 1, "oops": 2}]}`, "unknown field"},
-		{"yaml-tab", "rules:\n\t- name: a", "tabs"},
-		{"yaml-junk", "rules:\n  - name: a\n bad", "outside the root block"},
-	}
-	for _, c := range cases {
+	for _, c := range rejectedRules {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := ParseRules([]byte(c.src))
 			if err == nil || !strings.Contains(err.Error(), c.want) {

@@ -32,7 +32,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -191,7 +190,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "  /trace          Chrome trace-event JSON (perfetto-loadable)")
 	fmt.Fprintln(w, "  /critpath       per-message critical-path latency attribution (text)")
 	fmt.Fprintln(w, "  /timeline       windowed metrics timeline JSON")
-	fmt.Fprintln(w, "  /diff           live hub vs a baseline artifact (POST body or ?file=)")
+	fmt.Fprintln(w, "  /diff           live hub vs a baseline artifact (POST body)")
 	fmt.Fprintln(w, "  /twin           O(1) analytic twin prediction (?load=&mode=... or ?proto=&words=)")
 	fmt.Fprintln(w, "  /alerts         SLO incident report (?format=text|json|csv)")
 	fmt.Fprintln(w, "  /health         readiness: 503 while SLO alerts are open or shutting down")
@@ -262,8 +261,9 @@ const maxBaselineBytes = 64 << 20
 
 // handleDiff answers "where did the time go since this baseline?": it
 // compares a baseline artifact against the live hub with the differential
-// attribution engine and renders the report. The baseline arrives either as
-// the POST body or by reference via ?file=<path>, and may be a metrics
+// attribution engine and renders the report. The baseline arrives as the
+// POST body — never by server-side path, so a request can neither read
+// arbitrary files nor probe for their existence — and may be a metrics
 // export, a /snapshot document (its registry is unwrapped), or a timeline
 // export (diffed against the attached sampler). ?format=json or ?format=csv
 // select the encoding; the default is the text report.
@@ -324,16 +324,9 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(b.Bytes())
 }
 
-// diffBaseline reads the baseline artifact for /diff from ?file= or the
-// POST body. File reads and body reads happen outside the hub lock.
+// diffBaseline reads the baseline artifact for /diff from the POST body,
+// capped at maxBaselineBytes, outside the hub lock.
 func (s *Server) diffBaseline(r *http.Request) (*diff.Artifact, error) {
-	if file := r.URL.Query().Get("file"); file != "" {
-		data, err := os.ReadFile(file)
-		if err != nil {
-			return nil, err
-		}
-		return loadBaseline(file, data)
-	}
 	if r.Method == http.MethodPost {
 		data, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxBaselineBytes))
 		if err != nil {
@@ -343,7 +336,7 @@ func (s *Server) diffBaseline(r *http.Request) (*diff.Artifact, error) {
 			return loadBaseline("<request>", data)
 		}
 	}
-	return nil, errors.New("supply a baseline artifact as the POST body or via ?file=<path>")
+	return nil, errors.New("supply a baseline artifact as the POST body")
 }
 
 // loadBaseline recognises a baseline artifact, unwrapping a /snapshot

@@ -256,13 +256,11 @@ func TestObsServeDiffFileBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "metrics.json")
-	if err := os.WriteFile(path, reg, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	body := get(t, srv, "/diff?file="+path)
-	if !strings.Contains(string(body), "identical: all") {
-		t.Fatalf("file-referenced self-diff is not zero:\n%s", body)
+	// A saved metrics export (the bare registry, not the /snapshot
+	// wrapper) is uploaded as the body, the way a client posts a file.
+	code, body := postDiff(t, srv, "/diff", reg)
+	if code != http.StatusOK || !strings.Contains(body, "identical: all") {
+		t.Fatalf("saved-export self-diff = %d, not zero:\n%s", code, body)
 	}
 }
 
@@ -310,11 +308,30 @@ func TestObsServeDiffErrors(t *testing.T) {
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("format=xml = %d, want 400", rec.Code)
 	}
-	// Missing file.
-	rec = httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/diff?file=/nonexistent/base.json", nil))
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("missing file = %d, want 400", rec.Code)
+	// The server never reads a baseline from its own filesystem: ?file=
+	// is ignored, so an endless file returns 400 at once and a missing
+	// file answers exactly like an existing one (no existence oracle).
+	fileBody := func(path string) string {
+		t.Helper()
+		done := make(chan *httptest.ResponseRecorder, 1)
+		go func() {
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/diff?file="+path, nil))
+			done <- rec
+		}()
+		select {
+		case rec := <-done:
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("GET /diff?file=%s = %d, want 400", path, rec.Code)
+			}
+			return rec.Body.String()
+		case <-time.After(5 * time.Second):
+			t.Fatalf("GET /diff?file=%s did not return", path)
+			return ""
+		}
+	}
+	if zero, missing := fileBody("/dev/zero"), fileBody("/nonexistent/base.json"); zero != missing {
+		t.Fatalf("?file= responses differ by path:\n%q\n%q", zero, missing)
 	}
 }
 

@@ -6,11 +6,11 @@ import (
 )
 
 // ValidatePositiveFlags rejects explicitly-set non-positive values for the
-// named integer flags. The CLIs share the convention that -parallel and
-// -shards default to 0 meaning "auto-size"; a user who *types* 0 or a
-// negative value, though, is asking for a nonsensical pool and used to fall
-// through to the silent auto default. Only flags the user actually set are
-// checked, so the auto default keeps working.
+// named integer flags. The CLIs share the convention that -parallel
+// defaults to 0 meaning "auto-size"; a user who *types* 0 or a negative
+// value, though, is asking for a nonsensical pool and used to fall through
+// to the silent auto default. Only flags the user actually set are checked,
+// so the auto default keeps working.
 func ValidatePositiveFlags(fs *flag.FlagSet, names ...string) error {
 	want := make(map[string]bool, len(names))
 	for _, n := range names {

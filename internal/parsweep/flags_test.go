@@ -13,11 +13,9 @@ func TestValidatePositiveFlags(t *testing.T) {
 		ok   bool
 	}{
 		{"unset defaults stay auto", nil, true},
-		{"explicit positive", []string{"-parallel", "4", "-shards", "2"}, true},
+		{"explicit positive", []string{"-parallel", "4"}, true},
 		{"explicit zero parallel", []string{"-parallel", "0"}, false},
 		{"negative parallel", []string{"-parallel", "-3"}, false},
-		{"explicit zero shards", []string{"-shards", "0"}, false},
-		{"negative shards", []string{"-shards", "-1"}, false},
 		{"unchecked flag ignored", []string{"-other", "-5"}, true},
 	}
 	for _, c := range cases {
@@ -25,12 +23,11 @@ func TestValidatePositiveFlags(t *testing.T) {
 			fs := flag.NewFlagSet("test", flag.ContinueOnError)
 			fs.SetOutput(io.Discard)
 			fs.Int("parallel", 0, "")
-			fs.Int("shards", 0, "")
 			fs.Int("other", 0, "")
 			if err := fs.Parse(c.args); err != nil {
 				t.Fatal(err)
 			}
-			err := ValidatePositiveFlags(fs, "parallel", "shards")
+			err := ValidatePositiveFlags(fs, "parallel")
 			if c.ok && err != nil {
 				t.Errorf("unexpected error: %v", err)
 			}

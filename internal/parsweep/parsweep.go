@@ -27,30 +27,6 @@ func Workers(n int) int {
 	return n
 }
 
-// Shards resolves a -shards flag value against the sweep's worker count:
-// the two forms of parallelism multiply (each of the workers' simulations
-// runs its own shard goroutines), so their product is held to GOMAXPROCS,
-// and the grid fan-out — which parallelizes whole independent runs with no
-// barrier — takes precedence over intra-run sharding. The budget left for
-// shards is max(1, GOMAXPROCS/workers); requested values below 1 select
-// the whole budget (auto), larger requests clamp to it. Shard counts never
-// change results — the sharded engine is byte-identical at any count — so
-// the clamp only caps goroutines, never semantics. Callers pass the
-// normalized Workers value.
-func Shards(requested, workers int) int {
-	if workers < 1 {
-		workers = 1
-	}
-	budget := runtime.GOMAXPROCS(0) / workers
-	if budget < 1 {
-		budget = 1
-	}
-	if requested < 1 || requested > budget {
-		return budget
-	}
-	return requested
-}
-
 // Run executes fn(i) for every i in [0, n) across at most workers
 // goroutines. fn must confine its writes to index-i state; Run imposes no
 // ordering between jobs. With workers <= 1 the jobs run serially on the

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -164,38 +163,5 @@ func TestWorkersDefaultsToGOMAXPROCS(t *testing.T) {
 func TestRunZeroJobs(t *testing.T) {
 	if err := Run(4, 0, func(int) error { t.Fatal("ran"); return nil }); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestShardsBudget pins the composition policy: effective workers x shards
-// never exceeds GOMAXPROCS, grid fan-out (workers) takes precedence over
-// intra-run sharding, and auto/overbudget requests resolve to the budget.
-func TestShardsBudget(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-	cases := []struct {
-		requested, workers, want int
-	}{
-		{0, 1, 8},   // auto with a serial sweep: the whole machine
-		{0, 8, 1},   // auto with a saturated sweep: serial engine per point
-		{0, 2, 4},   // auto splits the budget across workers
-		{-1, 2, 4},  // negatives are auto too
-		{3, 2, 3},   // explicit within budget is honored
-		{16, 2, 4},  // explicit beyond budget clamps to it
-		{1, 1, 1},   // explicit serial stays serial
-		{4, 0, 4},   // workers below 1 normalize to 1
-		{0, 100, 1}, // more workers than cores still leaves one shard
-	}
-	for _, c := range cases {
-		if got := Shards(c.requested, c.workers); got != c.want {
-			t.Errorf("Shards(%d, %d) = %d, want %d", c.requested, c.workers, got, c.want)
-		}
-	}
-	for workers := 1; workers <= 10; workers++ {
-		for req := 0; req <= 12; req++ {
-			if got := Shards(req, workers); got*workers > 8 && got != 1 {
-				t.Errorf("Shards(%d, %d) = %d: workers*shards = %d exceeds GOMAXPROCS=8",
-					req, workers, got, got*workers)
-			}
-		}
 	}
 }

@@ -93,12 +93,12 @@ func Compare(oldSnap, newSnap *Snapshot, opt CompareOptions) (*Report, error) {
 	// Host samples recorded at different worker counts are incomparable —
 	// parallel repetitions time scheduler contention along with the work —
 	// so the host gate only runs between same-parallelism snapshots.
-	compareHosts := !opt.SimOnly && oldSnap.parallelism() == newSnap.parallelism()
+	compareHosts := !opt.SimOnly && oldSnap.Parallel == newSnap.Parallel
 	if !opt.SimOnly && !compareHosts {
 		rep.Deltas = append(rep.Deltas, Delta{
 			Scenario: "-", Metric: "-", Kind: "host", OK: true,
 			Note: fmt.Sprintf("host metrics not gated: snapshots recorded at parallelism %d vs %d",
-				oldSnap.parallelism(), newSnap.parallelism()),
+				oldSnap.Parallel, newSnap.Parallel),
 		})
 	}
 	newByName := make(map[string]*ScenarioResult, len(newSnap.Scenarios))
@@ -119,7 +119,6 @@ func Compare(oldSnap, newSnap *Snapshot, opt CompareOptions) (*Report, error) {
 	}
 	compareBenches(rep, oldSnap.Benches, newSnap.Benches)
 	gateIdleSpeedup(rep, newSnap.Benches)
-	gateShardSpeedup(rep, newSnap)
 	return rep, nil
 }
 
@@ -132,7 +131,7 @@ func Compare(oldSnap, newSnap *Snapshot, opt CompareOptions) (*Report, error) {
 const idleSpeedupFloor = 10.0
 
 // gateIdleSpeedup holds the new snapshot's idle fast-forward speedup to the
-// floor. Snapshots recorded before schema 3 lack the benches and pass.
+// floor. Snapshots recorded with SkipBenches lack the benches and pass.
 func gateIdleSpeedup(rep *Report, benches []BenchResult) {
 	var idle, dense *BenchResult
 	for i := range benches {
@@ -164,61 +163,6 @@ func gateIdleSpeedup(rep *Report, benches []BenchResult) {
 	}
 	d.OK = true
 	d.Note = fmt.Sprintf("idle fast-forward %.0fx over dense reference (floor %.0fx)", speedup, idleSpeedupFloor)
-	rep.Deltas = append(rep.Deltas, d)
-}
-
-// shardSpeedupFloor is the minimum ratio of serial to 4-shard tick cost on
-// the large-mesh scaling workload. Like the idle gate this compares two
-// benches recorded in the same run on the same machine; unlike it, the
-// ratio only means something when the shards actually ran concurrently, so
-// the gate arms only for snapshots recorded at GOMAXPROCS >= 4. Smaller
-// machines (and pre-schema-5 snapshots, which lack the stamp) get an
-// informational row instead.
-const (
-	shardSpeedupFloor    = 2.0
-	shardSpeedupMinProcs = 4
-)
-
-// gateShardSpeedup holds the new snapshot's sharded-engine speedup to the
-// floor. Snapshots without the scaling benches pass untouched.
-func gateShardSpeedup(rep *Report, snap *Snapshot) {
-	var serial, sharded *BenchResult
-	for i := range snap.Benches {
-		switch snap.Benches[i].Name {
-		case BenchTickLarge:
-			serial = &snap.Benches[i]
-		case BenchTickLargeShard4:
-			sharded = &snap.Benches[i]
-		}
-	}
-	if serial == nil || sharded == nil {
-		return
-	}
-	d := Delta{
-		Scenario: "bench", Metric: "sharded-tick-speedup", Kind: "bench",
-		Old: serial.NsPerOp, New: sharded.NsPerOp,
-	}
-	if sharded.NsPerOp <= 0 {
-		d.Note = fmt.Sprintf("unmeasurable: %s recorded %.0f ns/op", BenchTickLargeShard4, sharded.NsPerOp)
-		rep.fail(d)
-		return
-	}
-	speedup := serial.NsPerOp / sharded.NsPerOp
-	if snap.MaxProcs < shardSpeedupMinProcs {
-		d.OK = true
-		d.Note = fmt.Sprintf("sharded tick %.2fx over serial — not gated: snapshot recorded at GOMAXPROCS=%d (< %d)",
-			speedup, snap.MaxProcs, shardSpeedupMinProcs)
-		rep.Deltas = append(rep.Deltas, d)
-		return
-	}
-	if speedup < shardSpeedupFloor {
-		d.Note = fmt.Sprintf("SHARD SPEEDUP %.2fx < %.1fx floor at GOMAXPROCS=%d (serial %.0f ns/op, 4-shard %.0f ns/op)",
-			speedup, shardSpeedupFloor, snap.MaxProcs, serial.NsPerOp, sharded.NsPerOp)
-		rep.fail(d)
-		return
-	}
-	d.OK = true
-	d.Note = fmt.Sprintf("sharded tick %.2fx over serial at GOMAXPROCS=%d (floor %.1fx)", speedup, snap.MaxProcs, shardSpeedupFloor)
 	rep.Deltas = append(rep.Deltas, d)
 }
 
@@ -310,8 +254,8 @@ func compareHost(rep *Report, o, n *ScenarioResult, opt CompareOptions) {
 // compareBenches gates the allocation benchmarks: allocs/op must not grow.
 // Unlike the noisy host wall clock, allocs/op is deterministic for these
 // steady-state loops, so the gate is exact — any increase fails, on any
-// machine. Benchmarks absent from the old snapshot (recorded by an older
-// schema) are informational only.
+// machine. Benchmarks absent from the old snapshot (new benches, or an old
+// snapshot recorded with SkipBenches) are informational only.
 func compareBenches(rep *Report, oldB, newB []BenchResult) {
 	newByName := make(map[string]BenchResult, len(newB))
 	for _, b := range newB {

@@ -44,31 +44,13 @@ import (
 )
 
 // SchemaVersion identifies the snapshot layout; bump on incompatible
-// changes. Version 7 added the SLO alert digests (the canonical monitor
-// rules replayed over each netload mode's recorded timeline, with the
-// alert report's digest and incident count joining the exact-equality
-// gate — any PR that shifts when an alert opens or closes fails the gate
-// even if the totals agree) and the monitor-eval allocation benchmark.
-// Version 6 added the analytic-twin calibration scenario (the
-// per-regime MAPE and Pearson-r accuracy aggregates as permyriad sim keys,
-// exact-equality gated like every other deterministic metric) and the
-// twin-eval benchmark. Version 5 added the GOMAXPROCS stamp and the sharded-engine
-// scaling benchmarks (the large-mesh tick serial and at four shards,
-// recorded in the same run so the parallel speedup gates within one
-// snapshot — and only on machines with enough processors to mean it).
-// Version 4 added the timeline digests (per-scenario windowed
-// metrics timelines hashed into sim keys, so any PR that shifts *when*
-// events happen fails the exact-equality gate even if the totals agree)
-// and the timeline-sample allocation benchmark. Version 3 added the
-// event-driven engine benchmarks (idle fast-forward and sparse occupancy,
-// with the dense-reference baseline recorded in the same run so the idle
-// speedup gates within one snapshot). Version 2 added the parallelism
-// stamp and the allocation benchmark section. Older snapshots still load:
-// the new sections are simply absent, and absent sections are not gated.
+// changes and re-record the baseline. Only this version is read: the
+// repository keeps one baseline snapshot, so there are no older layouts to
+// fall back to. Version 7 is the layout with the SLO alert digests (the
+// canonical monitor rules replayed over each netload mode's recorded
+// timeline, digest and incident count exact-equality gated), the twin
+// calibration scenario, the timeline digests, and the allocation benches.
 const SchemaVersion = 7
-
-// minSchemaVersion is the oldest snapshot layout this build still reads.
-const minSchemaVersion = 1
 
 // NetloadScenario names the flit-level sweep point recorded alongside the
 // protocol scenarios.
@@ -79,7 +61,7 @@ const NetloadScenario = "netload-fattree-load100"
 // stored as permyriad integers so the exact-equality gate applies.
 const TwinScenario = "twin-calibration"
 
-// Snapshot is one recorded BENCH_PR<k>.json document.
+// Snapshot is one recorded snapshot document, such as BENCH_BASELINE.json.
 type Snapshot struct {
 	Schema    int    `json:"schema"`
 	Label     string `json:"label"`
@@ -96,27 +78,14 @@ type Snapshot struct {
 	NetloadCycles int `json:"netload_cycles"`
 	// Parallel is the worker count the timed repetitions ran under; host
 	// metrics only gate between snapshots recorded at the same count.
-	// Absent (schema 1) means serial.
 	Parallel int `json:"parallel,omitempty"`
-	// MaxProcs is the GOMAXPROCS the snapshot was recorded under. The
-	// sharded-engine speedup only gates when the recording machine had at
-	// least four processors; on smaller machines the shards time-slice one
-	// core and the ratio measures nothing. Absent (schema < 5) means
-	// unknown.
+	// MaxProcs is the GOMAXPROCS the snapshot was recorded under, a
+	// provenance stamp for reading its host samples.
 	MaxProcs  int              `json:"max_procs,omitempty"`
 	Scenarios []ScenarioResult `json:"scenarios"`
-	// Benches holds the allocation benchmarks (schema 2); allocs/op gates
-	// at no-regression.
+	// Benches holds the allocation benchmarks; allocs/op gates at
+	// no-regression.
 	Benches []BenchResult `json:"benches,omitempty"`
-}
-
-// parallelism normalizes the recorded worker count; snapshots from before
-// the field existed were recorded serially.
-func (s *Snapshot) parallelism() int {
-	if s.Parallel < 1 {
-		return 1
-	}
-	return s.Parallel
 }
 
 // ScenarioResult is one scenario's recorded metrics.
@@ -148,7 +117,7 @@ type RecordConfig struct {
 	// NetloadCycles is the flit-level measurement length (default 1000).
 	NetloadCycles int
 	// Parallel is the worker count for the timed repetitions (values below
-	// 1 select GOMAXPROCS; 1 is the serial recording older snapshots used).
+	// 1 select GOMAXPROCS; 1 records serially).
 	Parallel int
 	// SkipBenches omits the allocation benchmarks, which cost a couple of
 	// wall-clock seconds per recording.
@@ -599,9 +568,9 @@ func Parse(data []byte) (*Snapshot, error) {
 	if err := json.Unmarshal(data, &s); err != nil {
 		return nil, err
 	}
-	if s.Schema < minSchemaVersion || s.Schema > SchemaVersion {
-		return nil, fmt.Errorf("schema %d, this build reads %d through %d",
-			s.Schema, minSchemaVersion, SchemaVersion)
+	if s.Schema != SchemaVersion {
+		return nil, fmt.Errorf("schema %d, this build reads only schema %d (re-record the baseline)",
+			s.Schema, SchemaVersion)
 	}
 	return &s, nil
 }

@@ -2,7 +2,6 @@ package perfreg
 
 import (
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -254,7 +253,8 @@ func TestPerfregBenchGate(t *testing.T) {
 		t.Fatal("dropped bench passed the gate")
 	}
 
-	// Benches absent from the old snapshot (schema 1) are informational.
+	// Benches absent from the old snapshot (one recorded with SkipBenches)
+	// are informational.
 	rep, err = Compare(gone, slower, CompareOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -293,8 +293,8 @@ func TestPerfregRecordBenchesSmoke(t *testing.T) {
 		t.Skip("allocation benchmarks take a couple of seconds")
 	}
 	benches := recordBenches()
-	if len(benches) != 10 {
-		t.Fatalf("got %d benches, want 10", len(benches))
+	if len(benches) != 9 {
+		t.Fatalf("got %d benches, want 9", len(benches))
 	}
 	byName := make(map[string]BenchResult, len(benches))
 	for _, b := range benches {
@@ -311,79 +311,11 @@ func TestPerfregRecordBenchesSmoke(t *testing.T) {
 		t.Errorf("idle fast-forward speedup %.1fx under the %.0fx floor (dense %.0f ns/op, event %.0f ns/op)",
 			dense.NsPerOp/idle.NsPerOp, idleSpeedupFloor, dense.NsPerOp, idle.NsPerOp)
 	}
-	serial, sharded := byName[BenchTickLarge], byName[BenchTickLargeShard4]
-	if sharded.NsPerOp <= 0 {
-		t.Errorf("sharded scaling bench unmeasurable: %.0f ns/op", sharded.NsPerOp)
-	} else if runtime.GOMAXPROCS(0) >= shardSpeedupMinProcs && serial.NsPerOp/sharded.NsPerOp < shardSpeedupFloor {
-		t.Errorf("sharded tick speedup %.2fx under the %.1fx floor at GOMAXPROCS=%d (serial %.0f ns/op, 4-shard %.0f ns/op)",
-			serial.NsPerOp/sharded.NsPerOp, shardSpeedupFloor, runtime.GOMAXPROCS(0), serial.NsPerOp, sharded.NsPerOp)
-	} else {
-		t.Logf("sharded tick speedup %.2fx at GOMAXPROCS=%d (serial %.0f ns/op, 4-shard %.0f ns/op)",
-			serial.NsPerOp/sharded.NsPerOp, runtime.GOMAXPROCS(0), serial.NsPerOp, sharded.NsPerOp)
-	}
-}
-
-// TestPerfregShardSpeedupGate exercises the within-snapshot sharded-engine
-// gate: a healthy ratio passes, a collapsed one fails — but only for
-// snapshots recorded on machines with enough processors for the shards to
-// actually run concurrently. Small-machine and pre-schema-5 snapshots get
-// an informational row.
-func TestPerfregShardSpeedupGate(t *testing.T) {
-	old := recordOnce(t)
-	scaling := func(serialNs, shardNs float64, maxProcs int) *Snapshot {
-		s := clone(t, old)
-		s.MaxProcs = maxProcs
-		s.Benches = []BenchResult{
-			{Name: BenchTickLarge, NsPerOp: serialNs},
-			{Name: BenchTickLargeShard4, NsPerOp: shardNs},
-		}
-		return s
-	}
-
-	rep, err := Compare(old, scaling(1000, 300, 8), CompareOptions{SimOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Pass {
-		t.Fatalf("3.3x speedup failed the gate:\n%s", rep)
-	}
-	if !strings.Contains(rep.String(), "sharded tick 3.33x") {
-		t.Fatalf("report does not show the speedup:\n%s", rep)
-	}
-
-	rep, err = Compare(old, scaling(1000, 800, 8), CompareOptions{SimOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Pass {
-		t.Fatalf("1.25x speedup passed the %.1fx floor:\n%s", shardSpeedupFloor, rep)
-	}
-
-	// Same collapsed ratio on a one-processor recording: informational only.
-	rep, err = Compare(old, scaling(1000, 800, 1), CompareOptions{SimOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Pass {
-		t.Fatalf("small-machine snapshot was gated on the shard speedup:\n%s", rep)
-	}
-	if !strings.Contains(rep.String(), "not gated: snapshot recorded at GOMAXPROCS=1") {
-		t.Fatalf("report does not explain why the gate is off:\n%s", rep)
-	}
-
-	// No scaling benches recorded (pre-schema-5 snapshot): nothing to gate.
-	rep, err = Compare(old, clone(t, old), CompareOptions{SimOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Pass {
-		t.Fatalf("bench-less snapshots failed the shard gate:\n%s", rep)
-	}
 }
 
 // TestPerfregIdleSpeedupGate exercises the within-snapshot fast-forward
-// gate: a healthy ratio passes, a collapsed one fails, and snapshots from
-// before the benches existed are not gated.
+// gate: a healthy ratio passes, a collapsed one fails, and snapshots
+// recorded without the benches are not gated.
 func TestPerfregIdleSpeedupGate(t *testing.T) {
 	old := recordOnce(t)
 	healthy := clone(t, old)
@@ -415,7 +347,7 @@ func TestPerfregIdleSpeedupGate(t *testing.T) {
 		t.Fatalf("2x speedup passed the %vx floor:\n%s", idleSpeedupFloor, rep)
 	}
 
-	// No idle benches recorded (pre-schema-3 snapshot): nothing to gate.
+	// No idle benches recorded (a SkipBenches snapshot): nothing to gate.
 	rep, err = Compare(old, clone(t, old), CompareOptions{SimOnly: true})
 	if err != nil {
 		t.Fatal(err)
@@ -425,34 +357,19 @@ func TestPerfregIdleSpeedupGate(t *testing.T) {
 	}
 }
 
-func TestPerfregSchema1Accepted(t *testing.T) {
-	s := recordOnce(t)
-	v1 := clone(t, s)
-	v1.Schema = 1
-	v1.Parallel = 0
-	v1.Benches = nil
-	path := filepath.Join(t.TempDir(), "v1.json")
-	if err := v1.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadFile(path)
-	if err != nil {
-		t.Fatalf("schema-1 snapshot rejected: %v", err)
-	}
-	if loaded.parallelism() != 1 {
-		t.Fatalf("legacy snapshot parallelism = %d, want 1", loaded.parallelism())
-	}
-}
-
+// TestPerfregSchemaRejected: only the current layout loads; older and
+// newer schema versions are both refused.
 func TestPerfregSchemaRejected(t *testing.T) {
 	s := recordOnce(t)
-	bad := clone(t, s)
-	bad.Schema = SchemaVersion + 1
-	path := filepath.Join(t.TempDir(), "bad.json")
-	if err := bad.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFile(path); err == nil {
-		t.Fatal("unknown schema accepted")
+	for _, schema := range []int{SchemaVersion - 1, SchemaVersion + 1} {
+		bad := clone(t, s)
+		bad.Schema = schema
+		path := filepath.Join(t.TempDir(), "bad.json")
+		if err := bad.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadFile(path); err == nil {
+			t.Fatalf("schema %d accepted", schema)
+		}
 	}
 }

@@ -51,13 +51,11 @@ func CalLoads() []float64 {
 var protoCalWords = []int{16, 64, 256, 1024}
 
 // Options parameterize a calibration run. The results are byte-identical
-// at any option values: workers and shards change wall clock only, and the
+// at any option values: the worker count changes wall clock only, and the
 // dense engine is byte-equivalent to the event-driven one.
 type Options struct {
 	// Parallel is the worker count for the simulation sweep (0 = GOMAXPROCS).
 	Parallel int
-	// Shards is the per-point engine shard count (0 = auto).
-	Shards int
 	// Dense selects the dense reference engine.
 	Dense bool
 }
@@ -138,7 +136,7 @@ type netSample struct {
 // simulateNet runs one calibration point on the real simulator, exactly
 // the way cmd/netload measures it (1-word payloads, BufferFlits 3,
 // InjectQueue 8, refused injections part of the measurement).
-func simulateNet(r Regime, load float64, opt Options, shards int) (netSample, error) {
+func simulateNet(r Regime, load float64, opt Options) (netSample, error) {
 	var topo topology.Topology
 	var err error
 	switch r.Topology {
@@ -159,12 +157,10 @@ func simulateNet(r Regime, load float64, opt Options, shards int) (netSample, er
 		InjectQueue:     8,
 		VirtualChannels: r.VCs,
 		DenseReference:  opt.Dense,
-		Shards:          shards,
 	})
 	if err != nil {
 		return netSample{}, err
 	}
-	defer net.Close()
 	pattern, err := workload.ByName("uniform")
 	if err != nil {
 		return netSample{}, err
@@ -214,10 +210,9 @@ func cellsTotal(cells report.Cells) uint64 { return cells.Total().Total() }
 // Calibrate sweeps twin-vs-simulator across the committed grid and returns
 // the deterministic calibration report. The simulation side fans across a
 // parsweep pool; results are reassembled in input order, so the report is
-// byte-identical at any worker count, shard count, and engine.
+// byte-identical at any worker count and on either engine.
 func Calibrate(opt Options) (*Report, error) {
 	workers := parsweep.Workers(opt.Parallel)
-	shards := parsweep.Shards(opt.Shards, workers)
 	regimes := CalibratedRegimes()
 	loads := CalLoads()
 	knot := make(map[int]bool, CalKnots)
@@ -232,7 +227,7 @@ func Calibrate(opt Options) (*Report, error) {
 	samples := make([]netSample, jobs)
 	err := parsweep.Run(workers, jobs, func(i int) error {
 		r, load := regimes[i/len(loads)], loads[i%len(loads)]
-		s, err := simulateNet(r, load, opt, shards)
+		s, err := simulateNet(r, load, opt)
 		if err != nil {
 			return fmt.Errorf("%s load %g: %w", r, load, err)
 		}
@@ -442,13 +437,12 @@ func compareAccuracy(kind string, baseline, fresh []accuracyPair) []string {
 // existing table when the engine's behaviour legitimately changes.
 func Fit(opt Options) (string, error) {
 	workers := parsweep.Workers(opt.Parallel)
-	shards := parsweep.Shards(opt.Shards, workers)
 	regimes := CalibratedRegimes()
 	jobs := len(regimes) * CalKnots
 	samples := make([]netSample, jobs)
 	err := parsweep.Run(workers, jobs, func(i int) error {
 		r, load := regimes[i/CalKnots], calKnotLoads[i%CalKnots]
-		s, err := simulateNet(r, load, opt, shards)
+		s, err := simulateNet(r, load, opt)
 		if err != nil {
 			return fmt.Errorf("%s load %g: %w", r, load, err)
 		}

@@ -41,12 +41,12 @@ func MeasureSpeedup(opt Options) (Speedup, error) {
 	if _, err := pt.PredictNet(); err != nil {
 		return Speedup{}, err
 	}
-	if _, err := simulateNet(r, pt.Load, opt, 1); err != nil {
+	if _, err := simulateNet(r, pt.Load, opt); err != nil {
 		return Speedup{}, err
 	}
 	sim := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s, err := simulateNet(r, pt.Load, opt, 1)
+			s, err := simulateNet(r, pt.Load, opt)
 			if err != nil {
 				b.Fatal(err)
 			}
