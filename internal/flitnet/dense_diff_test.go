@@ -2,6 +2,7 @@ package flitnet
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"msglayer/internal/network"
@@ -222,4 +223,115 @@ func TestQuietCountersMatchScan(t *testing.T) {
 			t.Fatalf("step %d: Pending()=%d, scan says %d", step, n.Pending(), want)
 		}
 	}
+}
+
+// TestLaneStateMatchesScan holds the per-lane engine state to the ground
+// truth a full scan computes, after every tick of saturated CR and
+// adaptive two-channel runs: no buffered flit belongs to a worm that is not
+// in the network (so the path-only kill sweep missed nothing), owner slots
+// and lane claims mirror each other one to one, each worm's claim list
+// names exactly the lanes it holds, and the active-lane bitset covers every
+// occupied lane with its counter equal to its popcount.
+func TestLaneStateMatchesScan(t *testing.T) {
+	// CR pads a worm to its path length, so only buffers deeper than a
+	// short path let a whole worm gather in one lane with its claims
+	// released — the case where the tail lane alone locates it.
+	for _, cfg := range []Config{
+		{Mode: CR, KillTimeout: 8, RetryBackoff: 32, BufferFlits: 3},
+		{Mode: CR, KillTimeout: 8, RetryBackoff: 32, BufferFlits: 6},
+		{Mode: Adaptive, VirtualChannels: 2, BufferFlits: 3},
+	} {
+		t.Run(fmt.Sprintf("%s-buf%d", cfg.Mode, cfg.BufferFlits), func(t *testing.T) {
+			cfg.Topology = topology.MustMesh(6, 6)
+			cfg.InjectQueue = 8
+			n := MustNew(cfg)
+			rng := diffRNG(5)
+			for step := 0; step < 3000; step++ {
+				for src := 0; src < 36; src++ {
+					if rng.intn(4) == 0 {
+						dst := (src + 1 + rng.intn(35)) % 36
+						_ = n.Inject(network.Packet{Src: src, Dst: dst, Data: make([]network.Word, rng.intn(5))})
+					}
+				}
+				n.tickOnce()
+				for node := 0; node < 36; node++ {
+					for {
+						if _, ok := n.TryRecv(node); !ok {
+							break
+						}
+					}
+				}
+				if err := checkLaneState(n); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+			}
+			if cfg.Mode == CR && n.FlitStats().Kills == 0 {
+				t.Fatal("workload never killed a worm; the path-only sweep is untested")
+			}
+		})
+	}
+}
+
+func checkLaneState(n *Net) error {
+	held := map[*worm]map[int32]bool{}
+	for id := range n.fifos {
+		q := &n.fifos[id]
+		for i := int32(0); i < q.n; i++ {
+			if st := q.buf[q.at(i)].worm.state; st != wormInjecting && st != wormInFlight {
+				return fmt.Errorf("lane %d holds a flit of a worm in state %d", id, st)
+			}
+		}
+		if q.n > 0 && !n.active.has(int32(id)) {
+			return fmt.Errorf("occupied lane %d missing from the active set", id)
+		}
+		if c := n.laneClaim[id]; c.worm != nil {
+			if n.owner[c.out] != c.worm {
+				return fmt.Errorf("claim of lane %d on output %d, but the output is owned by %p, not %p", id, c.out, n.owner[c.out], c.worm)
+			}
+			if held[c.worm] == nil {
+				held[c.worm] = map[int32]bool{}
+			}
+			held[c.worm][int32(id)] = true
+		}
+	}
+	owned := 0
+	for out, w := range n.owner {
+		if w == nil {
+			continue
+		}
+		owned++
+		claims := 0
+		for in := range n.laneClaim {
+			if c := n.laneClaim[in]; c.worm == w && c.out == int32(out) {
+				claims++
+			}
+		}
+		if claims != 1 {
+			return fmt.Errorf("output %d owned with %d matching claims", out, claims)
+		}
+	}
+	claimed := 0
+	for w, lanes := range held {
+		claimed += len(lanes)
+		list := w.claims[w.claimHead:]
+		if len(list) != len(lanes) {
+			return fmt.Errorf("worm %d lists claims %v, holds %d lanes", w.id, list, len(lanes))
+		}
+		for _, in := range list {
+			if !lanes[in] {
+				return fmt.Errorf("worm %d lists a claim on lane %d it does not hold", w.id, in)
+			}
+		}
+	}
+	if owned != claimed {
+		return fmt.Errorf("%d owned outputs, %d lane claims", owned, claimed)
+	}
+	pop := 0
+	for _, word := range n.active.bits {
+		pop += bits.OnesCount64(word)
+	}
+	if pop != n.active.n {
+		return fmt.Errorf("active-lane counter %d, popcount %d", n.active.n, pop)
+	}
+	return nil
 }

@@ -1,31 +1,37 @@
 package flitnet
 
-import "msglayer/internal/topology"
+import "math/bits"
 
 // The scheduling core is event-driven: per-cycle work is proportional to
 // the traffic in flight, not to the topology size.
 //
-//   - The route phase iterates the active-lane worklist (lanes holding at
-//     least one flit) instead of scanning every router × port × virtual
-//     channel.
+//   - The route phase walks the active-lane bitset (lanes holding at least
+//     one flit) instead of scanning every router × port × virtual channel.
 //   - The inject phase iterates the ready-flow worklist (flows that might
 //     inject this cycle) instead of walking every flow; flows whose front
 //     worm sleeps in retry backoff park in a wake heap keyed by wakeAt.
-//   - When both worklists are empty — no flit can move and every pending
-//     worm is in backoff — Tick fast-forwards the clock straight to the
+//   - When both sets are empty — no flit can move and every pending worm
+//     is in backoff — Tick fast-forwards the clock straight to the
 //     earliest wakeAt instead of ticking cycle by cycle. The skipped
 //     cycles still count into Stats.Cycles.
 //
 // The contract with the dense scan it replaced is byte-identical results.
 // The dense scan visited lanes in ascending (router, port) order with the
 // virtual-channel priority rotated each cycle, and flows in first-Inject
-// order; both worklists are kept sorted on exactly those keys, and
-// additions made while a cycle runs merge in at the next phase boundary —
-// the same cycle the dense scan would first have acted on them, because a
-// flit pushed this cycle is skipped until the next one anyway (the
-// `arrived == cycle` guard) and a flow made ready mid-phase belongs to the
-// very flow being visited. The retained dense stepper (Config.
-// DenseReference) exists so tests can hold the engine to that contract.
+// order. Lane ids ascend in (router, port, vc) order, so walking the set
+// bits in ascending order, one port group at a time with the same
+// rotation, is the dense order restricted to the occupied lanes. A lane
+// that turns active while the walk runs holds only flits that arrived this
+// cycle, which the `arrived == cycle` guard skips, so visiting it or not is
+// the same no-op the dense scan performed. The ready worklist is kept
+// sorted on flow order, and flows made ready mid-phase merge in at the
+// next phase boundary. The retained dense stepper (Config.DenseReference)
+// exists so tests can hold the engine to that contract.
+//
+// The hot path reads per-lane state only: a claim is recorded under the
+// input lane whose front worm holds it, output ports resolve through a hop
+// table built by New, and each lane caches its head's route candidates. A
+// kill sweeps only the lanes on the worm's own path.
 
 // Tick advances the simulation by the given number of cycles. Stretches
 // where nothing can move — every pending worm in retry backoff, no flit
@@ -88,7 +94,7 @@ func (n *Net) quiet() bool {
 }
 
 // idleCycles returns how many of the next budget cycles are guaranteed to
-// be no-ops: zero unless both worklists are empty (no flit buffered, no
+// be no-ops: zero unless both active sets are empty (no flit buffered, no
 // flow able to inject). With sleepers pending the jump stops one cycle
 // short of the earliest wake; with none, the whole budget is idle. The
 // dense reference stepper never fast-forwards.
@@ -96,7 +102,7 @@ func (n *Net) idleCycles(budget int) int {
 	if n.dense {
 		return 0
 	}
-	if len(n.lanes.sorted)+len(n.lanes.added)+len(n.ready.sorted)+len(n.ready.added) > 0 {
+	if n.active.n+len(n.ready.sorted)+len(n.ready.added) > 0 {
 		return 0
 	}
 	if n.wake.len() == 0 {
@@ -115,8 +121,7 @@ func (n *Net) idleCycles(budget int) int {
 
 // tickOnce advances one cycle. The phases allocate nothing: the per-cycle
 // "who injected / which link carried a flit" sets are cycle-stamped scratch
-// slices on the Net and routers, and the worklists reuse their backing
-// arrays.
+// slices on the Net, and the active sets reuse their backing arrays.
 func (n *Net) tickOnce() {
 	n.cycle++
 	n.stats.Cycles++
@@ -200,8 +205,7 @@ func (n *Net) injectFlowStep(key flowKey, f *flow) {
 	if n.injecting[key.src] != w {
 		return // another flow's worm holds this node's send path
 	}
-	srcRouter, srcPort := n.cfg.Topology.NodePort(key.src)
-	if n.routers[srcRouter].inputs[srcPort][w.srcVC].full() {
+	if n.fifos[w.tailLane].full() {
 		// The head is stuck at the source; in CR mode a worm that
 		// cannot even enter counts as blocked too.
 		if w.sent == 0 {
@@ -209,7 +213,7 @@ func (n *Net) injectFlowStep(key flowKey, f *flow) {
 		}
 		return
 	}
-	n.pushFlit(srcRouter, srcPort, w.srcVC, flit{worm: w, kind: n.flitKind(w), arrived: n.cycle})
+	n.pushFlit(w.tailLane, flit{worm: w, kind: n.flitKind(w), arrived: n.cycle})
 	w.sent++
 	n.injMark[key.src] = n.cycle
 	if w.sent == w.flits {
@@ -255,7 +259,7 @@ func (n *Net) startNext(f *flow) *worm {
 	w.startedAt = n.cycle
 	// Rotate injection channels so consecutive worms can bypass a blocked
 	// predecessor at the source port.
-	w.srcVC = int(w.id) % n.cfg.VirtualChannels
+	w.tailLane = n.srcPort[w.packet.Src]*n.vcs + int32(w.id%uint64(n.vcs))
 	n.inflight++
 	return w
 }
@@ -278,82 +282,62 @@ func (n *Net) flitKind(w *worm) flitKind {
 
 // routePhase advances at most one flit per occupied input lane per cycle,
 // with each physical output port carrying at most one flit per cycle. It
-// walks the active-lane worklist — sorted in the dense scan's (router,
-// port) order with the per-cycle virtual-channel rotation applied within
-// each port — and compacts lanes that have drained out of the list.
+// walks the active-lane bitset in ascending id order — the dense scan's
+// (router, port) order — applying the per-cycle virtual-channel rotation
+// within each port, and clears the lanes it leaves empty.
 func (n *Net) routePhase() {
-	n.lanes.merge()
-	vcs := n.cfg.VirtualChannels
-	lanes := n.lanes.sorted
-	keep := lanes[:0]
-	if vcs == 1 {
-		for _, id := range lanes {
-			r, port := int(n.laneRouter[id]), int(n.lanePort[id])
-			n.advanceLane(r, port, 0)
-			if n.routers[r].inputs[port][0].len() > 0 {
-				keep = append(keep, id)
-			} else {
-				n.lanes.mark[id] = false
-			}
-		}
-		n.lanes.sorted = keep
-		return
-	}
-	for i := 0; i < len(lanes); {
-		// One (router, port) group is a run of ids sharing id/vcs
-		// (laneBase is a multiple of vcs, so the quotient is globally
-		// unique per physical port).
-		group := lanes[i] / int32(vcs)
-		j := i + 1
-		for j < len(lanes) && lanes[j]/int32(vcs) == group {
-			j++
-		}
-		base := group * int32(vcs)
-		r, port := int(n.laneRouter[base]), int(n.lanePort[base])
-		// Rotate virtual-channel priority each cycle for fairness —
-		// the same rotation the dense scan applied to all vcs, here
-		// restricted to the occupied ones (visiting an empty lane was
-		// a no-op).
-		for v := 0; v < vcs; v++ {
-			vc := (v + int(n.cycle)) % vcs
-			id := base + int32(vc)
-			for k := i; k < j; k++ {
-				if lanes[k] == id {
-					n.advanceLane(r, port, vc)
-					break
+	if n.vcs == 1 {
+		for wi := range n.active.bits {
+			for word := n.active.bits[wi]; word != 0; word &= word - 1 {
+				id := int32(wi<<6 | bits.TrailingZeros64(word))
+				n.advanceLane(id)
+				if n.fifos[id].len() == 0 {
+					n.active.remove(id)
 				}
 			}
 		}
-		for k := i; k < j; k++ {
-			id := lanes[k]
-			if n.routers[r].inputs[port][int(id-base)].len() > 0 {
-				keep = append(keep, id)
-			} else {
-				n.lanes.mark[id] = false
+		return
+	}
+	vcs := n.vcs
+	rot := int32(n.cycle % uint64(vcs))
+	for id := n.active.next(0); id >= 0; id = n.active.next(id) {
+		// Rotate virtual-channel priority each cycle for fairness — the
+		// same rotation the dense scan applied to all vcs, here restricted
+		// to the occupied ones (visiting an empty lane was a no-op).
+		base := id - id%vcs
+		for v := int32(0); v < vcs; v++ {
+			vc := v + rot
+			if vc >= vcs {
+				vc -= vcs
+			}
+			if n.active.has(base + vc) {
+				n.advanceLane(base + vc)
 			}
 		}
-		i = j
+		for id = base; id < base+vcs; id++ {
+			if n.active.has(id) && n.fifos[id].len() == 0 {
+				n.active.remove(id)
+			}
+		}
 	}
-	n.lanes.sorted = keep
 }
 
 // denseRoutePhase is the retained reference: every lane of every router,
 // every cycle.
 func (n *Net) denseRoutePhase() {
-	vcs := n.cfg.VirtualChannels
-	for r := range n.routers {
-		for port := range n.routers[r].inputs {
-			for v := 0; v < vcs; v++ {
-				vc := (v + int(n.cycle)) % vcs
-				n.advanceLane(r, port, vc)
-			}
+	vcs := n.vcs
+	rot := int32(n.cycle % uint64(vcs))
+	for base := int32(0); base < int32(len(n.fifos)); base += vcs {
+		for v := int32(0); v < vcs; v++ {
+			n.advanceLane(base + (v+rot)%vcs)
 		}
 	}
 }
 
-func (n *Net) advanceLane(r, port, vc int) {
-	rt := &n.routers[r]
-	buf := &rt.inputs[port][vc]
+// advanceLane moves the front flit of input lane id one step: along the
+// worm's claim if it holds one here, otherwise (a head) through routing.
+func (n *Net) advanceLane(id int32) {
+	buf := &n.fifos[id]
 	if buf.len() == 0 {
 		return
 	}
@@ -362,151 +346,172 @@ func (n *Net) advanceLane(r, port, vc int) {
 		return // moved into this lane this cycle; advances next cycle
 	}
 	w := fl.worm
-	if w.state == wormKilled || w.state == wormFailed {
-		n.popFlit(buf, vc)
-		return
-	}
-
-	var out lane
-	if claimed, ok := rt.route[w.id]; ok {
+	var out, port int32
+	if c := n.laneClaim[id]; c.worm == w {
 		// The worm already holds an output lane here — either the head
 		// claimed it on an earlier cycle but the link was busy, or this
 		// is a body/tail flit following the head.
-		out = claimed
+		out, port = c.out, c.port
 	} else if fl.kind == flitHead {
-		claimed, ok := n.routeHead(r, port, vc, w)
-		if !ok {
+		var ok bool
+		if out, port, ok = n.routeHead(id, w); !ok {
 			return // blocked, consumed at a terminal, or killed
 		}
-		out = claimed
 	} else {
-		// A body flit with no claim means the worm was killed and swept.
-		n.popFlit(buf, vc)
-		return
+		// A kill sweeps every flit of its worm, and a live worm's body
+		// follows a claim, so no other flit can reach a lane's front.
+		panic("flitnet: body flit without a claim")
 	}
-	if rt.outUsed[out.port] == n.cycle {
+	if n.outUsed[port] == n.cycle {
 		return // the physical link already carried a flit this cycle
 	}
-
-	peer, peerPort, node := n.cfg.Topology.Neighbor(r, out.port)
-	if node != topology.Terminal {
+	hop := n.hop[port]
+	if hop < 0 {
 		// Delivery: consume the flit; the tail completes the packet.
-		n.popFlit(buf, vc)
-		rt.outUsed[out.port] = n.cycle
-		n.stats.FlitMoves++
-		if n.linkObs != nil {
-			n.linkObs[r][out.port].Inc()
-		}
+		n.popFlit(id)
+		n.moved(port)
 		if fl.kind == flitTail {
-			n.finishWorm(r, out, w, node)
+			n.finishWorm(id, w, int(-2-hop))
 		}
 		return
 	}
 	// Router-to-router hop: needs space downstream on the claimed lane.
-	if n.routers[peer].inputs[peerPort][out.vc].full() {
+	down := out + (hop-port)*n.vcs
+	if n.fifos[down].full() {
 		if fl.kind == flitHead {
 			n.noteBlocked(w)
 		}
 		return
 	}
-	n.popFlit(buf, vc)
+	n.popFlit(id)
 	fl.arrived = n.cycle
-	n.pushFlit(peer, peerPort, out.vc, fl)
-	rt.outUsed[out.port] = n.cycle
-	n.stats.FlitMoves++
-	if n.linkObs != nil {
-		n.linkObs[r][out.port].Inc()
-	}
+	n.pushFlit(down, fl)
+	n.moved(port)
 	w.blocked = 0
 	if fl.kind == flitTail {
 		// The tail releases this router's claim on the output lane.
-		if rt.owner[out.port][out.vc] == w {
-			rt.owner[out.port][out.vc] = nil
-		}
-		delete(rt.route, w.id)
-		w.popClaim()
+		n.release(id, w)
+		w.tailLane = down
 	}
 }
 
-// routeHead claims an output lane for a worm's head at router r, returning
-// (lane, true) on success. On rejection the worm is killed; on blocking the
-// head stays put; on delivery at a terminal the head is consumed and
-// (lane, false) is returned with the claim recorded.
-func (n *Net) routeHead(r, port, vc int, w *worm) (lane, bool) {
-	rt := &n.routers[r]
-	n.routeScratch = n.cfg.Topology.RouteAppend(r, port, w.packet.Dst, n.routeScratch[:0])
-	cands := n.routeScratch
-	if len(cands) == 0 {
-		n.kill(w, "unroutable")
-		return lane{}, false
+// moved accounts one flit crossing output port's link this cycle.
+func (n *Net) moved(port int32) {
+	n.outUsed[port] = n.cycle
+	n.stats.FlitMoves++
+	if n.linkObs != nil {
+		n.linkObs[port].Inc()
 	}
-	if n.cfg.Mode != Adaptive {
+}
+
+// claim gives w output lane out of output port, recorded under its input
+// lane in.
+func (n *Net) claim(in, out, port int32, w *worm) {
+	n.owner[out] = w
+	n.laneClaim[in] = laneClaim{worm: w, out: out, port: port}
+	w.pushClaim(in)
+}
+
+// release drops w's oldest claim, the one under input lane in, as its tail
+// leaves that lane.
+func (n *Net) release(in int32, w *worm) {
+	n.owner[n.laneClaim[in].out] = nil
+	n.laneClaim[in] = laneClaim{}
+	w.popClaim()
+}
+
+// headCands returns the output port ids the head of worm w at the front of
+// input lane id may take, computing them once per worm and lane: a blocked
+// head retries every cycle with the same answer.
+func (n *Net) headCands(id int32, w *worm) []int32 {
+	cache := n.routeCands[int(id)*n.routeStride : (int(id)+1)*n.routeStride]
+	if rt := &n.routes[id]; rt.key == w.id+1 {
+		return cache[:rt.n]
+	}
+	port := id / n.vcs
+	r := n.portRtr[port]
+	port0 := n.portBase[r]
+	n.routeScratch = n.cfg.Topology.RouteAppend(int(r), int(port-port0), w.packet.Dst, n.routeScratch[:0])
+	cands := n.routeScratch
+	if n.cfg.Mode != Adaptive && len(cands) > 1 {
 		cands = cands[:1]
 	}
-	vcs := n.cfg.VirtualChannels
-	for ci, cand := range cands {
-		peer, peerPort, node := n.cfg.Topology.Neighbor(r, cand)
-		if node != topology.Terminal {
-			// Arrival at the destination node: the acceptance check
-			// runs as the header begins to arrive. The NI ejects one
-			// flit per cycle but reassembles per virtual channel, so
-			// each ejection lane can hold a different worm.
-			if rt.outUsed[cand] == n.cycle {
-				continue
-			}
-			out := lane{cand, -1}
-			for ej := 0; ej < vcs; ej++ {
-				if rt.owner[cand][ej] == nil {
-					out = lane{cand, ej}
-					break
+	if len(cands) > len(cache) {
+		panic("flitnet: more route candidates than router ports")
+	}
+	for i, c := range cands {
+		cache[i] = port0 + int32(c)
+	}
+	n.routes[id] = headRoute{key: w.id + 1, n: int32(len(cands))}
+	return cache[:len(cands)]
+}
+
+// routeHead claims an output lane for the head of worm w at the front of
+// input lane in, returning (lane, port, true) on success. On rejection
+// the worm is killed; on blocking the head stays put; on delivery at a
+// terminal the head is consumed and false is returned with the claim
+// recorded.
+func (n *Net) routeHead(in int32, w *worm) (out, port int32, ok bool) {
+	cands := n.headCands(in, w)
+	if len(cands) == 0 {
+		n.kill(w, "unroutable")
+		return 0, 0, false
+	}
+	vcs := n.vcs
+	for ci, port := range cands {
+		hop := n.hop[port]
+		if hop >= 0 {
+			// Virtual-channel discipline: channel 0 is the escape lane,
+			// restricted to the deterministic first candidate; higher
+			// channels may take any productive candidate.
+			for outVC := int32(0); outVC < vcs; outVC++ {
+				if outVC == 0 && ci != 0 && n.cfg.Mode == Adaptive && vcs > 1 {
+					continue
 				}
+				out := port*vcs + outVC
+				if n.owner[out] != nil || n.fifos[hop*vcs+outVC].full() {
+					continue
+				}
+				n.claim(in, out, port, w)
+				return out, port, true
 			}
-			if out.vc < 0 {
-				continue // all ejection lanes busy
-			}
-			if node != w.packet.Dst {
-				n.kill(w, "misroute")
-				return lane{}, false
-			}
-			if a := n.accepts[node]; a != nil && !a(w.packet) {
-				n.stats.Rejected++
-				n.kill(w, "rejected")
-				return lane{}, false
-			}
-			rt.owner[out.port][out.vc] = w
-			rt.route[w.id] = out
-			n.popFlit(&rt.inputs[port][vc], vc) // consume the head
-			w.pushClaim(r)
-			rt.outUsed[cand] = n.cycle
-			n.stats.FlitMoves++
-			if n.linkObs != nil {
-				n.linkObs[r][cand].Inc()
-			}
-			w.blocked = 0
-			return lane{}, false // head consumed; nothing more to move
+			continue
 		}
-		// Virtual-channel discipline: channel 0 is the escape lane,
-		// restricted to the deterministic first candidate; higher
-		// channels may take any productive candidate.
-		for outVC := 0; outVC < vcs; outVC++ {
-			if outVC == 0 && ci != 0 && n.cfg.Mode == Adaptive && vcs > 1 {
-				continue
-			}
-			if rt.owner[cand][outVC] != nil {
-				continue
-			}
-			if n.routers[peer].inputs[peerPort][outVC].full() {
-				continue
-			}
-			out := lane{cand, outVC}
-			rt.owner[out.port][out.vc] = w
-			rt.route[w.id] = out
-			w.pushClaim(r)
-			return out, true
+		// Arrival at the destination node: the acceptance check
+		// runs as the header begins to arrive. The NI ejects one
+		// flit per cycle but reassembles per virtual channel, so
+		// each ejection lane can hold a different worm.
+		if n.outUsed[port] == n.cycle {
+			continue
 		}
+		out = -1
+		for ej := port * vcs; ej < (port+1)*vcs; ej++ {
+			if n.owner[ej] == nil {
+				out = ej
+				break
+			}
+		}
+		if out < 0 {
+			continue // all ejection lanes busy
+		}
+		node := int(-2 - hop)
+		if node != w.packet.Dst {
+			n.kill(w, "misroute")
+			return 0, 0, false
+		}
+		if a := n.accepts[node]; a != nil && !a(w.packet) {
+			n.stats.Rejected++
+			n.kill(w, "rejected")
+			return 0, 0, false
+		}
+		n.claim(in, out, port, w)
+		n.popFlit(in) // consume the head
+		n.moved(port)
+		w.blocked = 0
+		return 0, 0, false // head consumed; nothing more to move
 	}
 	n.noteBlocked(w)
-	return lane{}, false
+	return 0, 0, false
 }
 
 // noteBlocked ages a blocked head and applies the CR kill timeout. The
@@ -520,16 +525,12 @@ func (n *Net) noteBlocked(w *worm) {
 	}
 }
 
-// finishWorm completes delivery: the tail has been accepted, which in CR is
-// the end-to-end acknowledgement. The worm struct returns to the pool; its
-// payload buffer now belongs to the receiver.
-func (n *Net) finishWorm(r int, out lane, w *worm, node int) {
-	rt := &n.routers[r]
-	if rt.owner[out.port][out.vc] == w {
-		rt.owner[out.port][out.vc] = nil
-	}
-	delete(rt.route, w.id)
-	w.popClaim()
+// finishWorm completes delivery: the tail has been accepted at the output
+// claimed from input lane in, which in CR is the end-to-end
+// acknowledgement. The worm struct returns to the pool; its payload buffer
+// now belongs to the receiver.
+func (n *Net) finishWorm(in int32, w *worm, node int) {
+	n.release(in, w)
 	w.state = wormDelivered
 	n.inflight--
 	latency := n.cycle - w.injected
@@ -561,14 +562,15 @@ func (n *Net) finishWorm(r int, out lane, w *worm, node int) {
 	n.putWorm(w)
 }
 
-// kill tears down a worm's path everywhere — the CR path-release mechanism
-// (in non-CR modes it only fires on misroutes, which are topology bugs).
-// The sweep visits only the active lanes (a flit can only sit in an
-// occupied lane) and the routers the worm actually claimed, so a kill
-// costs O(flits in flight + path length) rather than a full-topology scan.
-// The worm retries after a backoff, re-entering its flow queue at the front
-// so transmission order is preserved; retry exhaustion fails the injection
-// and recycles the worm and its payload buffer.
+// kill tears down a worm's path — the CR path-release mechanism (in non-CR
+// modes it only fires on misroutes, which are topology bugs). A worm's
+// flits lie only in the lane holding its tail and in the input and
+// downstream lanes of the claims it still holds, so the sweep visits
+// exactly those and releases the claims on the way: O(path length),
+// independent of the traffic elsewhere. The worm retries after a backoff,
+// re-entering its flow queue at the front so transmission order is
+// preserved; retry exhaustion fails the injection and recycles the worm
+// and its payload buffer.
 func (n *Net) kill(w *worm, reason string) {
 	if w.state == wormKilled || w.state == wormFailed {
 		return
@@ -581,34 +583,15 @@ func (n *Net) kill(w *worm, reason string) {
 		n.obs.Event(killEventName(reason), n.cycle, msg, pkt, parent)
 	}
 
-	// Sweep the worm's flits out of every occupied lane. The worklist may
-	// be mid-compaction (kill fires from inside the route phase), in which
-	// case it briefly holds duplicate or already-drained ids — filterWorm
-	// is idempotent and a miss on an empty lane is a no-op, so sweeping
-	// the superset is safe.
-	for _, id := range n.lanes.sorted {
-		vc := int(id) % n.cfg.VirtualChannels
-		if removed := n.routers[n.laneRouter[id]].inputs[n.lanePort[id]][vc].filterWorm(w); removed > 0 && n.gauges != nil {
-			n.buffered -= removed
-			n.bufferedVC[vc] -= removed
+	n.sweep(w.tailLane, w)
+	for _, in := range w.claims[w.claimHead:] {
+		c := n.laneClaim[in]
+		n.sweep(in, w)
+		if hop := n.hop[c.port]; hop >= 0 {
+			n.sweep(c.out+(hop-c.port)*n.vcs, w)
 		}
-	}
-	for _, id := range n.lanes.added {
-		vc := int(id) % n.cfg.VirtualChannels
-		if removed := n.routers[n.laneRouter[id]].inputs[n.lanePort[id]][vc].filterWorm(w); removed > 0 && n.gauges != nil {
-			n.buffered -= removed
-			n.bufferedVC[vc] -= removed
-		}
-	}
-	// Release the output lanes the worm still claims, in path order.
-	for _, cr := range w.claims[w.claimHead:] {
-		rt := &n.routers[cr]
-		if out, ok := rt.route[w.id]; ok {
-			if rt.owner[out.port][out.vc] == w {
-				rt.owner[out.port][out.vc] = nil
-			}
-			delete(rt.route, w.id)
-		}
+		n.owner[c.out] = nil
+		n.laneClaim[in] = laneClaim{}
 	}
 	w.claims = w.claims[:0]
 	w.claimHead = 0
@@ -660,6 +643,14 @@ func (n *Net) kill(w *worm, reason string) {
 		// The inject phase will find the front worm sleeping and park
 		// the flow in the wake heap until wakeAt.
 		n.ready.add(f.idx)
+	}
+}
+
+// sweep removes w's flits from lane id, keeping the gauges exact.
+func (n *Net) sweep(id int32, w *worm) {
+	if removed := n.fifos[id].filterWorm(w); removed > 0 && n.gauges != nil {
+		n.buffered -= removed
+		n.bufferedVC[id%n.vcs] -= removed
 	}
 }
 

@@ -146,7 +146,6 @@ type worm struct {
 	retries  int
 	blocked  uint64 // consecutive cycles the head could not advance
 	wakeAt   uint64 // cycle a killed worm re-enters its flow queue
-	srcVC    int    // the virtual channel the worm injects on
 	injected uint64 // cycle the packet entered the inject queue
 	// Observability bookkeeping (costs three stores per worm when no
 	// observer is attached): waitFrom marks when the current wait began
@@ -155,20 +154,24 @@ type worm struct {
 	waitFrom    uint64
 	startedAt   uint64
 	stallCycles uint64
-	// claims lists the routers where this worm currently holds an output
-	// lane, in path order; claimHead indexes the first still-held claim.
-	// The head appends as it claims, the tail releases front-first, and a
-	// kill releases the remainder — so tearing down a worm's path costs
-	// O(path length) instead of a scan over every router.
+	// claims lists the input lanes from which this worm currently holds an
+	// output lane (see Net.laneClaim), in path order; claimHead indexes the
+	// first still-held claim. The head appends as it claims, the tail
+	// releases front-first, and a kill releases the remainder.
 	claims    []int32
 	claimHead int
+	// tailLane is the lane holding (or, while the worm is still injecting,
+	// about to receive) the worm's tail. With the input and downstream
+	// lanes of the remaining claims it bounds where the worm's flits can
+	// be, which is all a kill has to sweep.
+	tailLane int32
 }
 
-// pushClaim records that the worm holds an output lane at router r.
-func (w *worm) pushClaim(r int) { w.claims = append(w.claims, int32(r)) }
+// pushClaim records that the worm holds the claim of input lane in.
+func (w *worm) pushClaim(in int32) { w.claims = append(w.claims, in) }
 
 // popClaim releases the worm's oldest claim (the tail has left that
-// router); the list rewinds once empty so it never grows past path length.
+// lane); the list rewinds once empty so it never grows past path length.
 func (w *worm) popClaim() {
 	w.claimHead++
 	if w.claimHead == len(w.claims) {
@@ -177,36 +180,38 @@ func (w *worm) popClaim() {
 	}
 }
 
-// lane addresses one virtual channel of one port.
-type lane struct {
-	port, vc int
-}
-
 // laneFIFO is the fixed-capacity flit ring backing one virtual channel of
-// one input port. Capacity is BufferFlits, allocated once at construction;
-// push and pop never allocate, unlike the slide-and-append slices they
-// replaced (whose backing arrays crawled forward one flit at a time,
-// reallocating every few cycles under load).
+// one input port: a BufferFlits-long window of the Net's flit slab. Push
+// and pop never allocate.
 type laneFIFO struct {
-	buf  []flit
-	head int
-	n    int
+	buf     []flit
+	head, n int32
 }
 
-func (q *laneFIFO) len() int   { return q.n }
-func (q *laneFIFO) full() bool { return q.n == len(q.buf) }
+func (q *laneFIFO) len() int   { return int(q.n) }
+func (q *laneFIFO) full() bool { return int(q.n) == len(q.buf) }
 
 // front returns the flit at the head of the ring; call only when len > 0.
 func (q *laneFIFO) front() *flit { return &q.buf[q.head] }
 
+// at returns the ring index i places after the head.
+func (q *laneFIFO) at(i int32) int32 {
+	if i += q.head; int(i) >= len(q.buf) {
+		i -= int32(len(q.buf))
+	}
+	return i
+}
+
 func (q *laneFIFO) push(f flit) {
-	q.buf[(q.head+q.n)%len(q.buf)] = f
+	q.buf[q.at(q.n)] = f
 	q.n++
 }
 
 func (q *laneFIFO) pop() {
 	q.buf[q.head] = flit{}
-	q.head = (q.head + 1) % len(q.buf)
+	if q.head++; int(q.head) == len(q.buf) {
+		q.head = 0
+	}
 	q.n--
 }
 
@@ -214,31 +219,40 @@ func (q *laneFIFO) pop() {
 // of the rest — the kill sweep. It returns how many flits it removed, so
 // the caller can keep the buffered-flit gauges exact.
 func (q *laneFIFO) filterWorm(w *worm) int {
-	kept := 0
-	for i := 0; i < q.n; i++ {
-		fl := q.buf[(q.head+i)%len(q.buf)]
+	kept := int32(0)
+	for i := int32(0); i < q.n; i++ {
+		fl := q.buf[q.at(i)]
 		if fl.worm == w {
 			continue
 		}
-		q.buf[(q.head+kept)%len(q.buf)] = fl
+		q.buf[q.at(kept)] = fl
 		kept++
 	}
 	removed := q.n - kept
 	for i := kept; i < q.n; i++ {
-		q.buf[(q.head+i)%len(q.buf)] = flit{}
+		q.buf[q.at(i)] = flit{}
 	}
 	q.n = kept
-	return removed
+	return int(removed)
 }
 
-type router struct {
-	inputs [][]laneFIFO    // [port][vc] input buffer
-	owner  [][]*worm       // [port][vc] output lane -> owning worm
-	route  map[uint64]lane // worm id -> claimed output lane here
-	// outUsed[port] stamped with the current cycle means the physical
-	// link already carried a flit this cycle — the per-cycle map the
-	// route phase used to allocate, as a reusable scratch slice.
-	outUsed []uint64
+// laneClaim is the output lane a worm holds at one router, recorded under
+// the input lane the worm arrives on. Only the worm at the front of an
+// input lane can hold that lane's claim — the next worm's head cannot route
+// until the holder's tail has left — so one slot per input lane suffices.
+type laneClaim struct {
+	worm *worm
+	out  int32 // output lane id
+	port int32 // its port id, out / vcs
+}
+
+// headRoute caches RouteAppend's candidates for the head at the front of
+// one lane. The key is the worm id + 1 (0 marks an empty entry), not the
+// worm pointer: pooled worm structs are reused for packets with other
+// destinations.
+type headRoute struct {
+	key uint64
+	n   int32
 }
 
 type flowKey struct {
@@ -336,7 +350,6 @@ func (q *pktQueue) pop() (network.Packet, bool) {
 // plus Tick to advance simulated time.
 type Net struct {
 	cfg       Config
-	routers   []router
 	flows     map[flowKey]*flow
 	order     []flowKey // deterministic iteration order for flows
 	recvq     []pktQueue
@@ -355,27 +368,55 @@ type Net struct {
 	// failure (a delivered payload escapes to the receiver via TryRecv).
 	wormPool []*worm
 	wordPool [][]network.Word
-	// routeScratch is the reusable candidate buffer handed to
-	// Topology.RouteAppend, one head routing at a time.
+	// routeScratch is the candidate buffer handed to Topology.RouteAppend.
 	routeScratch []int
+
+	// --- port and lane tables -------------------------------------------
+	//
+	// Every router port has a port id, portBase[r] + port, and each of its
+	// virtual channels a lane id, port id * vcs + vc, so ascending lane ids
+	// are the dense scan's (router, port, vc) order. Input buffers and
+	// output lanes share the numbering: lane id l names both the input FIFO
+	// of (router, port, vc) and that router's output lane on the same port
+	// and channel.
+	vcs      int32
+	portBase []int32 // router -> port id of its port 0
+	portRtr  []int32 // port id -> router
+	// hop resolves an output port without the Topology interface: the
+	// peer router's input port id, -2-node for a port ejecting to node, or
+	// -1 for an unconnected port (routing never selects one).
+	hop []int32
+	// srcPort is each node's injection port id.
+	srcPort []int32
+	// outUsed[port] stamped with the current cycle means the physical
+	// output link already carried a flit this cycle.
+	outUsed []uint64
+	// fifos are the input buffers, windows of one flit slab.
+	fifos []laneFIFO
+	// laneClaim[in] is the output lane held by the worm at the front of
+	// input lane in; owner[out] is the worm holding output lane out. The
+	// two always mirror each other.
+	laneClaim []laneClaim
+	owner     []*worm
+	// routes and routeCands cache each lane's head route, routeStride
+	// candidates per lane (the most ports any router has).
+	routes      []headRoute
+	routeCands  []int32
+	routeStride int
 
 	// --- event-driven engine state ------------------------------------
 	//
-	// The route phase iterates lanes, the inject phase iterates flows, and
-	// both worklists are sorted so the sparse iteration replays the dense
-	// scan's visiting order exactly; see engine.go for the contract.
+	// The route phase walks the active-lane bitset, the inject phase the
+	// sorted ready-flow worklist; both replay the dense scan's visiting
+	// order exactly, see engine.go for the contract.
 
 	// dense selects the retained dense reference stepper (Config.
-	// DenseReference). The worklists stay maintained either way, so a
+	// DenseReference). The active sets stay maintained either way, so a
 	// dense net can be compared against an event-driven twin at any point.
 	dense bool
-	// lanes is the active-lane worklist: every lane currently holding at
-	// least one flit is marked here. Ids are ascending (router, port, vc),
-	// the dense scan order; laneRouter/lanePort/laneBase decode them.
-	lanes      worklist
-	laneRouter []int32
-	lanePort   []int32
-	laneBase   []int32
+	// active holds every lane with at least one buffered flit, plus lanes
+	// a kill emptied that the route phase has not visited since.
+	active laneSet
 	// ready is the injectable-flow worklist, sorted by flow order index.
 	// Flows leave it when they drain, sleep in retry backoff (parking in
 	// wake), or wait on a CR tail acceptance, and return on Inject, kill,
@@ -404,14 +445,14 @@ type Net struct {
 
 	// gauges, when non-nil, receives the network's occupancy state once
 	// per advanced cycle (see noteCycle); buffered/bufferedVC maintain the
-	// input-buffer population it publishes. linkObs[r][port], when non-nil,
+	// input-buffer population it publishes. linkObs[port], when non-nil,
 	// counts flits moved across each router output link. Both attach with
 	// the observer scope; the maintenance sites are shared between the
 	// engines, so the published series are byte-identical across both.
 	gauges     *obs.FlitGauges
 	buffered   int
 	bufferedVC []int
-	linkObs    [][]*obs.Counter
+	linkObs    []*obs.Counter
 	// onCycle, when non-nil, is invoked after the mutations of every
 	// advanced cycle — once per stepped cycle, once per idle fast-forward
 	// jump (covering the frozen cycles in between). The timeline sampler
@@ -460,86 +501,86 @@ func New(cfg Config) (*Net, error) {
 	if cfg.Shards != 0 && cfg.Shards != 1 {
 		return nil, fmt.Errorf("flitnet: Shards must be 0 or 1 (the engine is serial), got %d", cfg.Shards)
 	}
-	nodes := cfg.Topology.Nodes()
+	topo := cfg.Topology
+	nodes := topo.Nodes()
 	n := &Net{
 		cfg:       cfg,
-		routers:   make([]router, cfg.Topology.NumRouters()),
 		flows:     make(map[flowKey]*flow),
 		recvq:     make([]pktQueue, nodes),
 		accepts:   make([]network.Acceptor, nodes),
 		queued:    make([]int, nodes),
 		injecting: make([]*worm, nodes),
 		injMark:   make([]uint64, nodes),
+		dense:     cfg.DenseReference,
+		vcs:       int32(cfg.VirtualChannels),
+		portBase:  make([]int32, topo.NumRouters()),
+		srcPort:   make([]int32, nodes),
 	}
-	for r := range n.routers {
-		ports := cfg.Topology.Ports(r)
-		inputs := make([][]laneFIFO, ports)
-		owner := make([][]*worm, ports)
-		for p := range inputs {
-			inputs[p] = make([]laneFIFO, cfg.VirtualChannels)
-			for v := range inputs[p] {
-				inputs[p][v].buf = make([]flit, cfg.BufferFlits)
-			}
-			owner[p] = make([]*worm, cfg.VirtualChannels)
-		}
-		n.routers[r] = router{
-			inputs:  inputs,
-			owner:   owner,
-			route:   make(map[uint64]lane),
-			outUsed: make([]uint64, ports),
-		}
+	ports := int32(0)
+	for r := range n.portBase {
+		n.portBase[r] = ports
+		p := topo.Ports(r)
+		ports += int32(p)
+		n.routeStride = max(n.routeStride, p)
 	}
-	n.dense = cfg.DenseReference
-	// Lane id tables: id = laneBase[r] + port*vcs + vc, so ascending ids
-	// replay the dense scan's (router, port, vc) order and id/vcs uniquely
-	// identifies a physical input port (laneBase is a multiple of vcs).
-	n.laneBase = make([]int32, len(n.routers))
-	total := int32(0)
-	for r := range n.routers {
-		n.laneBase[r] = total
-		total += int32(len(n.routers[r].inputs) * cfg.VirtualChannels)
-	}
-	n.laneRouter = make([]int32, total)
-	n.lanePort = make([]int32, total)
-	for r := range n.routers {
-		for p := range n.routers[r].inputs {
-			for v := 0; v < cfg.VirtualChannels; v++ {
-				id := n.laneBase[r] + int32(p*cfg.VirtualChannels+v)
-				n.laneRouter[id] = int32(r)
-				n.lanePort[id] = int32(p)
+	n.portRtr = make([]int32, ports)
+	n.hop = make([]int32, ports)
+	n.outUsed = make([]uint64, ports)
+	for r, base := range n.portBase {
+		for p := 0; p < topo.Ports(r); p++ {
+			id := base + int32(p)
+			n.portRtr[id] = int32(r)
+			peer, peerPort, node := topo.Neighbor(r, p)
+			switch {
+			case node != topology.Terminal:
+				n.hop[id] = -2 - int32(node)
+			case peer != topology.Terminal:
+				n.hop[id] = n.portBase[peer] + int32(peerPort)
+			default:
+				n.hop[id] = -1
 			}
 		}
 	}
-	n.lanes.grow(int(total))
+	for node := range n.srcPort {
+		r, p := topo.NodePort(node)
+		n.srcPort[node] = n.portBase[r] + int32(p)
+	}
+	lanes := int(ports) * cfg.VirtualChannels
+	depth := cfg.BufferFlits
+	slab := make([]flit, lanes*depth)
+	n.fifos = make([]laneFIFO, lanes)
+	for id := range n.fifos {
+		n.fifos[id].buf = slab[id*depth : (id+1)*depth : (id+1)*depth]
+	}
+	n.laneClaim = make([]laneClaim, lanes)
+	n.owner = make([]*worm, lanes)
+	n.routes = make([]headRoute, lanes)
+	n.routeCands = make([]int32, lanes*n.routeStride)
+	n.active.grow(lanes)
 	return n, nil
 }
 
-// laneID encodes one virtual channel of one input port as its worklist id.
-func (n *Net) laneID(r, port, vc int) int32 {
-	return n.laneBase[r] + int32(port*n.cfg.VirtualChannels+vc)
-}
-
-// pushFlit places a flit into a lane and activates the lane in the
-// worklist. Every flit enters a buffer through here, which is what keeps
-// the active-lane set a superset of the occupied lanes at all times — and
-// the buffered-flit gauges exact.
-func (n *Net) pushFlit(r, port, vc int, fl flit) {
-	n.routers[r].inputs[port][vc].push(fl)
-	n.lanes.add(n.laneID(r, port, vc))
+// pushFlit places a flit into a lane and activates the lane. Every flit
+// enters a buffer through here, which is what keeps the active set a
+// superset of the occupied lanes at all times — and the buffered-flit
+// gauges exact.
+func (n *Net) pushFlit(id int32, fl flit) {
+	n.fifos[id].push(fl)
+	n.active.add(id)
 	if n.gauges != nil {
 		n.buffered++
-		n.bufferedVC[vc]++
+		n.bufferedVC[id%n.vcs]++
 	}
 }
 
 // popFlit removes a lane's front flit, keeping the buffered-flit gauges in
 // step. Every consuming pop goes through here; the kill sweep accounts for
 // its bulk removals separately.
-func (n *Net) popFlit(buf *laneFIFO, vc int) {
-	buf.pop()
+func (n *Net) popFlit(id int32) {
+	n.fifos[id].pop()
 	if n.gauges != nil {
 		n.buffered--
-		n.bufferedVC[vc]--
+		n.bufferedVC[id%n.vcs]--
 	}
 }
 
@@ -650,13 +691,10 @@ func (n *Net) SetFlitObserver(s *obs.FlitScope) {
 	if n.bufferedVC == nil {
 		n.bufferedVC = make([]int, vcs)
 	}
-	n.linkObs = make([][]*obs.Counter, len(n.routers))
-	for r := range n.routers {
-		ports := make([]*obs.Counter, len(n.routers[r].outUsed))
-		for p := range ports {
-			ports[p] = s.LinkCounter(r, p)
-		}
-		n.linkObs[r] = ports
+	n.linkObs = make([]*obs.Counter, len(n.hop))
+	for pp := range n.linkObs {
+		r := n.portRtr[pp]
+		n.linkObs[pp] = s.LinkCounter(int(r), pp-int(n.portBase[r]))
 	}
 }
 

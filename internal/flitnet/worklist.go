@@ -1,9 +1,56 @@
 package flitnet
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
-// worklist is the event-driven engine's sorted active set: int32 ids (lanes
-// or flows) kept in ascending order, which by construction is exactly the
+// laneSet is the route phase's active-lane set: one bit per lane id plus a
+// population count, so membership changes are O(1) and walking the set in
+// ascending id order — the dense scan's order — needs no sort.
+type laneSet struct {
+	bits []uint64
+	n    int // set bits
+}
+
+// grow sizes the set for lane ids 0..lanes-1.
+func (s *laneSet) grow(lanes int) { s.bits = make([]uint64, (lanes+63)/64) }
+
+func (s *laneSet) has(id int32) bool { return s.bits[id>>6]&(1<<(id&63)) != 0 }
+
+// add activates a lane; a no-op if it is already active.
+func (s *laneSet) add(id int32) {
+	w, m := &s.bits[id>>6], uint64(1)<<(id&63)
+	if *w&m == 0 {
+		*w |= m
+		s.n++
+	}
+}
+
+// remove deactivates a lane that is known to be active.
+func (s *laneSet) remove(id int32) {
+	s.bits[id>>6] &^= 1 << (id & 63)
+	s.n--
+}
+
+// next returns the smallest active id >= from, or -1 if there is none.
+func (s *laneSet) next(from int32) int32 {
+	wi := int(from >> 6)
+	if wi >= len(s.bits) {
+		return -1
+	}
+	word := s.bits[wi] &^ (1<<(from&63) - 1)
+	for word == 0 {
+		if wi++; wi == len(s.bits) {
+			return -1
+		}
+		word = s.bits[wi]
+	}
+	return int32(wi<<6 | bits.TrailingZeros64(word))
+}
+
+// worklist is the inject phase's sorted ready-flow set: int32 flow order
+// indices kept in ascending order, which by construction is exactly the
 // order the dense per-cycle scan visited them. Additions made while a cycle
 // runs go to a side buffer and merge in at the next phase boundary, so the
 // iteration order of the current cycle is never perturbed mid-flight. A
@@ -17,17 +64,10 @@ type worklist struct {
 	mark    []bool  // mark[id]: id is present in sorted or added
 }
 
-// grow ensures the mark table covers ids 0..n-1.
-func (w *worklist) grow(n int) {
-	for len(w.mark) < n {
-		w.mark = append(w.mark, false)
-	}
-}
-
 // add activates an id; a no-op if it is already active.
 func (w *worklist) add(id int32) {
-	if int(id) >= len(w.mark) {
-		w.grow(int(id) + 1)
+	for int(id) >= len(w.mark) {
+		w.mark = append(w.mark, false)
 	}
 	if w.mark[id] {
 		return
@@ -37,7 +77,7 @@ func (w *worklist) add(id int32) {
 }
 
 // merge folds the side buffer into the sorted set. The side buffer is
-// typically tiny (lanes touched since last cycle), so it is sorted on its
+// typically tiny (flows touched since last cycle), so it is sorted on its
 // own and merged linearly rather than re-sorting the whole set.
 func (w *worklist) merge() {
 	if len(w.added) == 0 {
@@ -79,7 +119,6 @@ type wakeHeap struct {
 
 func (w *wakeHeap) len() int      { return len(w.h) }
 func (w *wakeHeap) minAt() uint64 { return w.h[0].at }
-func (w *wakeHeap) reset()        { w.h = w.h[:0] }
 
 func (w *wakeHeap) push(at uint64, flow int32) {
 	w.h = append(w.h, wakeEntry{at, flow})

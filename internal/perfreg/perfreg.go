@@ -562,7 +562,8 @@ func ReadFile(path string) (*Snapshot, error) {
 }
 
 // Parse decodes a snapshot from raw JSON, rejecting unknown schema
-// versions.
+// versions. An empty benches list decodes as none, the form WriteFile
+// omits, so a parsed snapshot survives a write and re-read unchanged.
 func Parse(data []byte) (*Snapshot, error) {
 	var s Snapshot
 	if err := json.Unmarshal(data, &s); err != nil {
@@ -571,6 +572,9 @@ func Parse(data []byte) (*Snapshot, error) {
 	if s.Schema != SchemaVersion {
 		return nil, fmt.Errorf("schema %d, this build reads only schema %d (re-record the baseline)",
 			s.Schema, SchemaVersion)
+	}
+	if len(s.Benches) == 0 {
+		s.Benches = nil
 	}
 	return &s, nil
 }
