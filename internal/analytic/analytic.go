@@ -10,6 +10,7 @@ package analytic
 
 import (
 	"fmt"
+	"math"
 
 	"msglayer/internal/cost"
 )
@@ -33,6 +34,9 @@ type Breakdown map[cost.Role]map[cost.Feature]cost.Vec
 // Packets returns p, the number of hardware packets a message needs.
 func Packets(s *cost.Schedule, messageWords int) int {
 	n := s.PacketWords
+	if messageWords > 0 {
+		return (messageWords-1)/n + 1 // (words+n-1)/n would overflow near MaxInt
+	}
 	return (messageWords + n - 1) / n
 }
 
@@ -47,6 +51,11 @@ func (p Params) validate(s *cost.Schedule) (packets uint64, ooo uint64, g uint64
 		return 0, 0, 0, fmt.Errorf("analytic: message of %d words", p.MessageWords)
 	}
 	pk := Packets(s, p.MessageWords)
+	// Every model charges each bundle at most once per packet, or once per
+	// transfer, so its total stays below (packets+1) × ChargeBound.
+	if bound := s.ChargeBound(); bound > 0 && uint64(pk) >= math.MaxUint64/bound {
+		return 0, 0, 0, fmt.Errorf("analytic: a %d-word message overflows the instruction count", p.MessageWords)
+	}
 	if p.OutOfOrder < 0 || p.OutOfOrder > pk {
 		return 0, 0, 0, fmt.Errorf("analytic: %d out-of-order packets of %d", p.OutOfOrder, pk)
 	}

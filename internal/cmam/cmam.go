@@ -26,6 +26,9 @@ import (
 	"msglayer/internal/ni"
 )
 
+// evCmamStaleXfer counts transfer packets dropped for a freed segment.
+var evCmamStaleXfer = cost.NewEvent("cmam.stale.xfer")
+
 // Hardware message tags used to vector received packets.
 const (
 	// TagAM marks a handler-carrying active message (CMAM_4); the head
@@ -60,7 +63,7 @@ const (
 type segment struct {
 	buf       []network.Word
 	remaining int
-	received  map[int]bool // offsets already counted
+	received  []uint64 // bitset of offsets already counted
 	onPacket  func(offset, words int)
 	onDone    func()
 }
@@ -71,14 +74,37 @@ type segment struct {
 // the endpoint's dispatch loop.
 type TagSink func(src int, head network.Word, data []network.Word) error
 
-// Endpoint is one node's CMAM layer instance.
+// Endpoint is one node's CMAM layer instance. Its tables are dense slices
+// indexed by id, grown on demand, so dispatching a packet does no hashing.
 type Endpoint struct {
 	node       *machine.Node
-	handlers   map[HandlerID]Handler
-	segments   map[SegmentID]*segment
-	tombstones map[SegmentID]bool // freed segments; late duplicates are dropped
-	sinks      map[network.Tag]TagSink
+	handlers   []Handler  // by HandlerID; nil where unregistered
+	segments   []*segment // by SegmentID; nil where free
+	tombstones []uint64   // bitset of freed SegmentIDs; late duplicates are dropped
+	sinks      []TagSink  // by tag; nil where unregistered
 	nextSeg    SegmentID
+}
+
+// grown returns s extended with zero values, if needed, to hold index i.
+func grown[T any](s []T, i int) []T {
+	if i < len(s) {
+		return s
+	}
+	return append(s, make([]T, i+1-len(s))...)
+}
+
+// at returns s[i], or the zero value when i is beyond the slice.
+func at[T any](s []T, i int) T {
+	if i < len(s) {
+		return s[i]
+	}
+	var zero T
+	return zero
+}
+
+// tombstoned reports whether a segment id was freed and not reused since.
+func (ep *Endpoint) tombstoned(id SegmentID) bool {
+	return at(ep.tombstones, int(id)/64)&(1<<(id%64)) != 0
 }
 
 // Package errors.
@@ -90,13 +116,7 @@ var (
 
 // NewEndpoint attaches a CMAM layer to a node.
 func NewEndpoint(node *machine.Node) *Endpoint {
-	return &Endpoint{
-		node:       node,
-		handlers:   make(map[HandlerID]Handler),
-		segments:   make(map[SegmentID]*segment),
-		tombstones: make(map[SegmentID]bool),
-		sinks:      make(map[network.Tag]TagSink),
-	}
+	return &Endpoint{node: node}
 }
 
 // Node returns the underlying machine node.
@@ -104,6 +124,7 @@ func (ep *Endpoint) Node() *machine.Node { return ep.node }
 
 // Register installs a handler; re-registering an id replaces it.
 func (ep *Endpoint) Register(id HandlerID, h Handler) {
+	ep.handlers = grown(ep.handlers, int(id))
 	ep.handlers[id] = h
 }
 
@@ -113,6 +134,7 @@ func (ep *Endpoint) RegisterTag(tag network.Tag, sink TagSink) error {
 	if tag == TagAM || tag == TagXfer {
 		return fmt.Errorf("cmam: tag %d is reserved", tag)
 	}
+	ep.sinks = grown(ep.sinks, int(tag))
 	ep.sinks[tag] = sink
 	return nil
 }
@@ -232,12 +254,17 @@ func (ep *Endpoint) AllocSegment(buf []network.Word, expectWords int, onPacket f
 	for tries := 0; tries < maxSegment; tries++ {
 		id := ep.nextSeg
 		ep.nextSeg++
-		if _, taken := ep.segments[id]; !taken {
-			delete(ep.tombstones, id) // the id's previous life is over
+		if at(ep.segments, int(id)) == nil {
+			if ep.tombstoned(id) {
+				ep.tombstones[id/64] &^= 1 << (id % 64) // the id's previous life is over
+			}
+			ep.segments = grown(ep.segments, int(id))
+			// The bitset has a bit for every offset 0..len(buf): a
+			// zero-length packet may land at offset len(buf).
 			ep.segments[id] = &segment{
 				buf:       buf,
 				remaining: expectWords,
-				received:  make(map[int]bool),
+				received:  make([]uint64, len(buf)/64+1),
 				onPacket:  onPacket,
 				onDone:    onDone,
 			}
@@ -253,19 +280,20 @@ func (ep *Endpoint) AllocSegment(buf []network.Word, expectWords int, onPacket f
 // are silently discarded rather than treated as protocol errors. (Ids
 // recycle after the 16-bit space wraps, the usual sequence-reuse caveat.)
 func (ep *Endpoint) FreeSegment(id SegmentID) error {
-	if _, ok := ep.segments[id]; !ok {
+	if at(ep.segments, int(id)) == nil {
 		return fmt.Errorf("%w: %d", ErrNoSegment, id)
 	}
-	delete(ep.segments, id)
-	ep.tombstones[id] = true
+	ep.segments[id] = nil
+	ep.tombstones = grown(ep.tombstones, int(id)/64)
+	ep.tombstones[id/64] |= 1 << (id % 64)
 	ep.node.Obs.SegmentFree()
 	return nil
 }
 
 // SegmentRemaining reports the words a segment still expects.
 func (ep *Endpoint) SegmentRemaining(id SegmentID) (int, error) {
-	s, ok := ep.segments[id]
-	if !ok {
+	s := at(ep.segments, int(id))
+	if s == nil {
 		return 0, fmt.Errorf("%w: %d", ErrNoSegment, id)
 	}
 	return s.remaining, nil
@@ -337,8 +365,8 @@ func (ep *Endpoint) dispatchPacket(nic *ni.NI) error {
 	src, tag, head := nic.ReadMeta()
 	switch tag {
 	case TagAM:
-		h, ok := ep.handlers[HandlerID(head)]
-		if !ok {
+		h := at(ep.handlers, int(HandlerID(head)))
+		if h == nil {
 			nic.Discard()
 			return fmt.Errorf("%w: id %d from node %d", ErrNoHandler, head, src)
 		}
@@ -347,12 +375,12 @@ func (ep *Endpoint) dispatchPacket(nic *ni.NI) error {
 	case TagXfer:
 		seg := SegmentID(head >> 16)
 		offset := int(head & (maxOffset - 1))
-		s, ok := ep.segments[seg]
-		if !ok {
-			if ep.tombstones[seg] {
+		s := at(ep.segments, int(seg))
+		if s == nil {
+			if ep.tombstoned(seg) {
 				// A retransmission landing after completion.
 				nic.Discard()
-				ep.node.Event("cmam.stale.xfer")
+				ep.node.Event(evCmamStaleXfer)
 				return nil
 			}
 			nic.Discard()
@@ -364,8 +392,8 @@ func (ep *Endpoint) dispatchPacket(nic *ni.NI) error {
 				ErrSegmentOverrun, offset, len(data), len(s.buf), seg)
 		}
 		copy(s.buf[offset:], data)
-		if !s.received[offset] {
-			s.received[offset] = true
+		if word, bit := offset/64, uint64(1)<<(offset%64); s.received[word]&bit == 0 {
+			s.received[word] |= bit
 			s.remaining -= len(data)
 		}
 		if s.onPacket != nil {
@@ -377,8 +405,8 @@ func (ep *Endpoint) dispatchPacket(nic *ni.NI) error {
 			done()
 		}
 	default:
-		sink, ok := ep.sinks[tag]
-		if !ok {
+		sink := at(ep.sinks, int(tag))
+		if sink == nil {
 			nic.Discard()
 			return fmt.Errorf("cmam: packet with unknown tag %d from node %d", tag, src)
 		}

@@ -153,6 +153,45 @@ func TestSegmentTransfer(t *testing.T) {
 	}
 }
 
+// TestSegmentCountsEachOffsetOnce: a duplicate packet overwrites its words
+// without counting them again, a zero-length packet may land one past the
+// last word (here at a 64-word boundary of the offset bitset), and a packet
+// arriving after the segment was freed is dropped as stale.
+func TestSegmentCountsEachOffsetOnce(t *testing.T) {
+	src, dst, _ := pair(t, network.CM5Config{})
+	buf := make([]network.Word, 64)
+	seg, err := dst.AllocSegment(buf, 64, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []struct {
+		offset int
+		data   []network.Word
+	}{{0, []network.Word{1, 2, 3, 4}}, {0, []network.Word{1, 2, 3, 4}}, {64, nil}, {60, []network.Word{9, 9, 9, 9}}} {
+		if err := src.SendXfer(1, seg, x.offset, x.data, cost.Base, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := dst.Poll(0); err != nil || n != 4 {
+		t.Fatalf("Poll = %d, %v", n, err)
+	}
+	if rem, err := dst.SegmentRemaining(seg); err != nil || rem != 56 {
+		t.Errorf("remaining = %d, %v; want 56", rem, err)
+	}
+	if err := dst.FreeSegment(seg); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.SendXfer(1, seg, 0, []network.Word{1}, cost.Base, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dst.Poll(0); err != nil {
+		t.Errorf("late packet for a freed segment: %v", err)
+	}
+	if got := dst.Node().Gauge.Events("cmam.stale.xfer"); got != 1 {
+		t.Errorf("stale events = %d, want 1", got)
+	}
+}
+
 func TestSegmentUnknownAndOverrun(t *testing.T) {
 	src, dst, _ := pair(t, network.CM5Config{})
 

@@ -25,6 +25,12 @@ import (
 	"msglayer/internal/protocols"
 )
 
+// Protocol events counted on the node gauges.
+var (
+	evCollectivesHwreduce = cost.NewEvent("collectives.hwreduce")
+	evCollectivesHwscan   = cost.NewEvent("collectives.hwscan")
+)
+
 // Handler identifiers used by the collectives; applications sharing an
 // endpoint must avoid this range.
 const (
@@ -457,7 +463,7 @@ func (c *Comm) HWReduceBegin(value network.Word, op ctrlnet.Op) (func() (network
 	if err := c.ctrl.Contribute(c.rank, op, uint32(value)); err != nil {
 		return nil, err
 	}
-	node.Event("collectives.hwreduce")
+	node.Event(evCollectivesHwreduce)
 	have := false
 	var result network.Word
 	return func() (network.Word, bool) {
@@ -500,7 +506,7 @@ func (c *Comm) HWScanBegin(value network.Word, op ctrlnet.Op) (func() (network.W
 	if err := c.ctrl.ScanContribute(c.rank, op, uint32(value)); err != nil {
 		return nil, err
 	}
-	node.Event("collectives.hwscan")
+	node.Event(evCollectivesHwscan)
 	have := false
 	var result network.Word
 	return func() (network.Word, bool) {

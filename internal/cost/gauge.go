@@ -16,12 +16,12 @@ import (
 type Gauge struct {
 	counts [NumRoles][NumFeatures][NumCategories]uint64
 	subs   [NumRoles][NumSubs][NumCategories]uint64
-	events map[string]uint64
+	events []uint64 // occurrences per Event id; slot 0 is unused
 }
 
 // NewGauge returns an empty gauge.
 func NewGauge() *Gauge {
-	return &Gauge{events: make(map[string]uint64)}
+	return &Gauge{}
 }
 
 // Charge records a bundle of instruction items against (role, feature).
@@ -44,20 +44,49 @@ func (g *Gauge) ChargeVec(r Role, f Feature, v Vec) {
 	g.subs[r][SubBookkeeping][Dev] += v.Dev
 }
 
-// CountEvent records that a named protocol event occurred (packet sent, ack
+// CountEvent records that a protocol event occurred (packet sent, ack
 // received, out-of-order arrival, ...). Events do not contribute to
 // instruction counts; they let tests and reports explain where counts came
 // from.
-func (g *Gauge) CountEvent(name string) { g.events[name]++ }
+func (g *Gauge) CountEvent(e Event) {
+	if e.id == 0 {
+		return
+	}
+	if int(e.id) >= len(g.events) {
+		g.growEvents(int(e.id) + 1)
+	}
+	g.events[e.id]++
+}
+
+// growEvents extends the per-event slots to at least n, and to every event
+// registered so far, so a gauge grows once rather than once per new event.
+func (g *Gauge) growEvents(n int) {
+	events.mu.Lock()
+	n = max(n, len(events.names)+1)
+	events.mu.Unlock()
+	if n > len(g.events) {
+		g.events = append(g.events, make([]uint64, n-len(g.events))...)
+	}
+}
+
+// count returns the occurrences of the event with the given id.
+func (g *Gauge) count(id int) uint64 {
+	if id >= len(g.events) {
+		return 0
+	}
+	return g.events[id]
+}
 
 // Events returns the number of occurrences of a named event.
-func (g *Gauge) Events(name string) uint64 { return g.events[name] }
+func (g *Gauge) Events(name string) uint64 { return g.count(int(lookupEvent(name))) }
 
 // EventNames returns all recorded event names in sorted order.
 func (g *Gauge) EventNames() []string {
-	names := make([]string, 0, len(g.events))
-	for n := range g.events {
-		names = append(names, n)
+	names := []string{}
+	for id, k := range g.events {
+		if k > 0 {
+			names = append(names, eventName(int32(id)))
+		}
 	}
 	sort.Strings(names)
 	return names
@@ -115,14 +144,19 @@ func (g *Gauge) Add(other *Gauge) {
 			}
 		}
 	}
-	for n, k := range other.events {
-		g.events[n] += k
+	if len(other.events) > len(g.events) {
+		g.growEvents(len(other.events))
+	}
+	for id, k := range other.events {
+		g.events[id] += k
 	}
 }
 
 // Reset zeroes the gauge.
 func (g *Gauge) Reset() {
-	*g = Gauge{events: make(map[string]uint64)}
+	events := g.events
+	clear(events)
+	*g = Gauge{events: events}
 }
 
 // Snapshot returns a deep copy of the gauge.
@@ -156,9 +190,12 @@ func (g *Gauge) Diff(prev *Gauge) *Gauge {
 			}
 		}
 	}
-	for n, k := range g.events {
-		if p := prev.events[n]; k > p {
-			d.events[n] = k - p
+	if len(g.events) > 0 {
+		d.growEvents(len(g.events))
+	}
+	for id, k := range g.events {
+		if p := prev.count(id); k > p {
+			d.events[id] = k - p
 		}
 	}
 	return d

@@ -50,9 +50,9 @@ func TestGaugeChargeVecGoesToBookkeeping(t *testing.T) {
 
 func TestGaugeEvents(t *testing.T) {
 	g := NewGauge()
-	g.CountEvent("packet.sent")
-	g.CountEvent("packet.sent")
-	g.CountEvent("ack.recv")
+	g.CountEvent(NewEvent("packet.sent"))
+	g.CountEvent(NewEvent("packet.sent"))
+	g.CountEvent(NewEvent("ack.recv"))
 	if g.Events("packet.sent") != 2 || g.Events("ack.recv") != 1 {
 		t.Errorf("event counts wrong: %d %d", g.Events("packet.sent"), g.Events("ack.recv"))
 	}
@@ -68,11 +68,11 @@ func TestGaugeEvents(t *testing.T) {
 func TestGaugeAddAndSnapshot(t *testing.T) {
 	g := NewGauge()
 	g.Charge(Source, Base, Items{{Reg, SubCallRet, 5}})
-	g.CountEvent("e")
+	g.CountEvent(NewEvent("e"))
 
 	snap := g.Snapshot()
 	g.Charge(Source, Base, Items{{Reg, SubCallRet, 2}})
-	g.CountEvent("e")
+	g.CountEvent(NewEvent("e"))
 
 	if got := snap.Cell(Source, Base); got != V(5, 0, 0) {
 		t.Errorf("snapshot mutated: %v", got)
@@ -98,7 +98,7 @@ func TestGaugeDiff(t *testing.T) {
 	snap := g.Snapshot()
 	g.Charge(Source, Base, Items{{Reg, SubCallRet, 3}})
 	g.Charge(Destination, InOrder, Items{{Mem, SubBookkeeping, 4}})
-	g.CountEvent("x")
+	g.CountEvent(NewEvent("x"))
 
 	d := g.Diff(snap)
 	if got := d.Cell(Source, Base); got != V(3, 0, 0) {
@@ -127,7 +127,7 @@ func TestGaugeDiffUnderflowPanics(t *testing.T) {
 func TestGaugeReset(t *testing.T) {
 	g := NewGauge()
 	g.Charge(Source, Base, Items{{Reg, SubCallRet, 5}})
-	g.CountEvent("e")
+	g.CountEvent(NewEvent("e"))
 	g.Reset()
 	if !g.Total().IsZero() {
 		t.Errorf("Total after reset = %v", g.Total())
@@ -136,7 +136,7 @@ func TestGaugeReset(t *testing.T) {
 		t.Errorf("events survived reset")
 	}
 	// The gauge must be usable after Reset.
-	g.CountEvent("e2")
+	g.CountEvent(NewEvent("e2"))
 	if g.Events("e2") != 1 {
 		t.Errorf("gauge unusable after reset")
 	}

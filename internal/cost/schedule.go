@@ -1,6 +1,10 @@
 package cost
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"sync"
+)
 
 // Schedule is the calibration table mapping messaging-layer protocol events
 // to instruction-charge bundles. It plays the role of the CMAM SPARC
@@ -76,14 +80,52 @@ type Schedule struct {
 	CRRetryBookkeep   Items // software cost of a rejected header retry
 }
 
+// paperSchedules caches the paper schedule built for each packet size
+// (int -> *Schedule). Entries are never handed out or modified; callers get
+// copies.
+var paperSchedules sync.Map
+
 // NewPaperSchedule returns the schedule calibrated to the paper's CM-5/CMAM
 // measurements for hardware packets carrying n data words. n must be a
 // positive even number (double-word loads/stores move two words at a time);
 // the paper's CM-5 has n = 4 and Figure 8 sweeps n from 4 to 128.
+//
+// Each call returns an independent copy, so callers may modify it freely.
 func NewPaperSchedule(n int) (*Schedule, error) {
 	if n <= 0 || n%2 != 0 {
 		return nil, fmt.Errorf("cost: packet payload must be a positive even word count, got %d", n)
 	}
+	s, ok := paperSchedules.Load(n)
+	if !ok {
+		s, _ = paperSchedules.LoadOrStore(n, buildPaperSchedule(n))
+	}
+	return s.(*Schedule).clone(), nil
+}
+
+// clone returns a deep copy of the schedule whose bundles are carved from a
+// single backing array. Each bundle is capped at its own length, so
+// appending to one never overwrites its neighbour; nil bundles stay nil.
+func (s *Schedule) clone() *Schedule {
+	c := *s
+	from, to := s.bundles(), c.bundles()
+	total := 0
+	for _, b := range from {
+		total += len(*b)
+	}
+	items := make(Items, 0, total)
+	for i, b := range from {
+		if *b == nil {
+			continue
+		}
+		start := len(items)
+		items = append(items, *b...)
+		*to[i] = items[start:len(items):len(items)]
+	}
+	return &c
+}
+
+// buildPaperSchedule constructs the paper schedule for a valid packet size.
+func buildPaperSchedule(n int) *Schedule {
 	h := uint64(n) / 2 // double-word operations moving the payload
 
 	s := &Schedule{
@@ -372,7 +414,7 @@ func NewPaperSchedule(n int) (*Schedule, error) {
 		},
 		CRRetryBookkeep: nil, // header rejection/retry is handled by the NI
 	}
-	return s, nil
+	return s
 }
 
 // MustPaperSchedule is NewPaperSchedule that panics on invalid n; for use in
@@ -445,10 +487,14 @@ func (s *Schedule) WithInterruptReception(trapCost uint64) *Schedule {
 	return &c
 }
 
+// numBundles is the number of charge bundles in a Schedule.
+const numBundles = 40
+
 // bundles returns pointers to every charge bundle in the schedule, for
-// whole-schedule transforms and validation.
-func (s *Schedule) bundles() []*Items {
-	return []*Items{
+// whole-schedule transforms and validation. It returns an array so that
+// walking the bundles allocates nothing.
+func (s *Schedule) bundles() [numBundles]*Items {
+	return [numBundles]*Items{
 		&s.SendSingle, &s.RecvSingle,
 		&s.XferSendFixed, &s.XferSendPacket, &s.XferRecvFixed, &s.XferRecvPacket,
 		&s.AllocRequestSend, &s.AllocRequestRecv, &s.SegmentAllocate,
@@ -462,6 +508,21 @@ func (s *Schedule) bundles() []*Items {
 		&s.CRBufferRegister, &s.CRLastPacket,
 		&s.CRStreamSend, &s.CRStreamRecvFixed, &s.CRStreamRecv, &s.CRRetryBookkeep,
 	}
+}
+
+// ChargeBound returns the sum of every item of every bundle, saturating at
+// math.MaxUint64. A cost model that charges each bundle at most once per
+// packet, or once per transfer, totals less than (packets+1) × ChargeBound.
+func (s *Schedule) ChargeBound() uint64 {
+	var sum uint64
+	for _, b := range s.bundles() {
+		for _, it := range *b {
+			if sum += it.N; sum < it.N {
+				return math.MaxUint64
+			}
+		}
+	}
+	return sum
 }
 
 // Validate checks internal consistency of the schedule against the paper's

@@ -1,7 +1,9 @@
 package cost
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -358,4 +360,62 @@ func TestDescribeListsEveryBundle(t *testing.T) {
 	if got := strings.Count(out, "\n"); got != 41 {
 		t.Errorf("Describe has %d lines, want 41", got)
 	}
+}
+
+// TestPaperScheduleCopiesAreIndependent mutates one schedule in every way a
+// caller can — rewriting items in place, appending to a bundle, replacing a
+// bundle — and checks that earlier and later copies of the same size, and
+// the mutated copy's other bundles, are unchanged.
+func TestPaperScheduleCopiesAreIndependent(t *testing.T) {
+	want := buildPaperSchedule(4)
+	before := MustPaperSchedule(4)
+	s := MustPaperSchedule(4)
+	if !reflect.DeepEqual(s, want) {
+		t.Fatal("copy differs from a freshly built schedule")
+	}
+	for _, b := range s.bundles() {
+		for i := range *b {
+			(*b)[i].N += 1000
+		}
+	}
+	s.SendSingle = append(s.SendSingle, Item{Reg, SubCallRet, 7})
+	s.XferSendFixed = append(s.XferSendFixed, Item{Mem, SubDataMove, 9})
+	s.CRRetryBookkeep = Items{{Reg, SubBookkeeping, 1}}
+	if got, wantN := s.RecvSingle[0].N, want.RecvSingle[0].N+1000; got != wantN {
+		t.Errorf("append to SendSingle changed RecvSingle[0].N: %d, want %d", got, wantN)
+	}
+	if got, wantN := s.XferSendPacket[0].N, want.XferSendPacket[0].N+1000; got != wantN {
+		t.Errorf("append to XferSendFixed changed XferSendPacket[0].N: %d, want %d", got, wantN)
+	}
+	after := MustPaperSchedule(4)
+	if !reflect.DeepEqual(before, want) || !reflect.DeepEqual(after, want) {
+		t.Error("mutating one copy changed another")
+	}
+	if want.CRRetryBookkeep != nil || after.CRRetryBookkeep != nil {
+		t.Error("nil bundle is not nil in the copy")
+	}
+}
+
+// TestPaperScheduleConcurrent builds schedules of several sizes from many
+// goroutines at once (run under -race); every copy must match a freshly
+// built schedule.
+func TestPaperScheduleConcurrent(t *testing.T) {
+	sizes := []int{2, 4, 8, 16}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				n := sizes[(w+i)%len(sizes)]
+				s := MustPaperSchedule(n)
+				if !reflect.DeepEqual(s, buildPaperSchedule(n)) {
+					t.Errorf("n=%d: copy differs from a freshly built schedule", n)
+					return
+				}
+				s.SendSingle[0].N++ // each goroutine owns its copy
+			}
+		}(w)
+	}
+	wg.Wait()
 }

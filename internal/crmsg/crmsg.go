@@ -26,6 +26,18 @@ import (
 	"msglayer/internal/network"
 )
 
+// Protocol events counted on the node gauges.
+var (
+	evCrfiniteStart        = cost.NewEvent("crfinite.start")
+	evCrfiniteRejected     = cost.NewEvent("crfinite.rejected")
+	evCrfiniteBackpressure = cost.NewEvent("crfinite.backpressure")
+	evCrfinitePacketSent   = cost.NewEvent("crfinite.packet.sent")
+	evCrfiniteComplete     = cost.NewEvent("crfinite.complete")
+	evCrfiniteHeaderRecv   = cost.NewEvent("crfinite.header.recv")
+	evCrfinitePacketRecv   = cost.NewEvent("crfinite.packet.recv")
+	evCrfiniteDone         = cost.NewEvent("crfinite.done")
+)
+
 // Hardware tags used by the CR layer.
 const (
 	// TagHead marks a finite transfer's header packet: its head word
@@ -159,7 +171,7 @@ func (f *Finite) Start(dst int, data []network.Word) (*Transfer, error) {
 	prevMsg := obsScope.CurrentMsg()
 	t.msg = obsScope.NewMsg()
 	f.ep.Node().Charge(cost.Base, f.sched().CRXferSendFixed)
-	f.ep.Node().Event("crfinite.start")
+	f.ep.Node().Event(evCrfiniteStart)
 	err := f.pumpOne(t)
 	obsScope.SwapMsg(prevMsg)
 	return t, err
@@ -223,17 +235,17 @@ func (f *Finite) pumpOne(t *Transfer) error {
 			t.rejected++
 			node.Charge(cost.Base, f.sched().CRRetryBookkeep)
 			node.Charge(cost.Base, retryProbe)
-			node.Event("crfinite.rejected")
+			node.Event(evCrfiniteRejected)
 			return nil
 		case errors.Is(err, network.ErrBackpressure):
 			node.Charge(cost.Base, retryProbe)
-			node.Event("crfinite.backpressure")
+			node.Event(evCrfiniteBackpressure)
 			return nil
 		case err != nil:
 			return err
 		}
 		node.Charge(cost.Base, f.sched().CRXferSendPacket)
-		node.Event("crfinite.packet.sent")
+		node.Event(evCrfinitePacketSent)
 		t.headerIn = true
 		t.sent = end
 	}
@@ -243,7 +255,7 @@ func (f *Finite) pumpOne(t *Transfer) error {
 		// delivery, so the last packet entering the network completes the
 		// transfer as seen from the source. The event charges nothing; it
 		// closes the crfinite.xfer.src observability span.
-		node.Event("crfinite.complete")
+		node.Event(evCrfiniteComplete)
 	}
 	return nil
 }
@@ -268,7 +280,7 @@ func (f *Finite) sinkHead(src int, head network.Word, data []network.Word) error
 	node.Charge(cost.BufferMgmt, f.sched().CRBufferRegister)
 	in := &inXfer{buf: f.cfg.Allocate(words)}
 	f.incoming[key] = in
-	node.Event("crfinite.header.recv")
+	node.Event(evCrfiniteHeaderRecv)
 
 	return f.store(src, key, in, data)
 }
@@ -288,7 +300,7 @@ func (f *Finite) sinkData(src int, head network.Word, data []network.Word) error
 func (f *Finite) store(src int, key inKey, in *inXfer, data []network.Word) error {
 	node := f.ep.Node()
 	node.Charge(cost.Base, f.sched().CRXferRecvPacket)
-	node.Event("crfinite.packet.recv")
+	node.Event(evCrfinitePacketRecv)
 	if in.cursor+len(data) > len(in.buf) {
 		return fmt.Errorf("crmsg: transfer %d from node %d overruns its %d-word buffer",
 			key.id, src, len(in.buf))
@@ -300,7 +312,7 @@ func (f *Finite) store(src int, key inKey, in *inXfer, data []network.Word) erro
 		// last-packet handler.
 		node.Charge(cost.Base, f.sched().CRLastPacket)
 		delete(f.incoming, key)
-		node.Event("crfinite.done")
+		node.Event(evCrfiniteDone)
 		if f.cfg.OnReceive != nil {
 			f.cfg.OnReceive(src, in.buf)
 		}

@@ -9,6 +9,12 @@ import (
 	"msglayer/internal/network"
 )
 
+// Protocol events counted on the node gauges.
+var (
+	evCrstreamPacketSent = cost.NewEvent("crstream.packet.sent")
+	evCrstreamPacketRecv = cost.NewEvent("crstream.packet.recv")
+)
+
 // StreamConfig tunes a CR stream service.
 type StreamConfig struct {
 	// OnDeliver is the user handler invoked, in transmission order, for
@@ -145,7 +151,7 @@ func (c *Conn) inject(data []network.Word) error {
 	err := c.s.ep.Send(c.dst, TagStream, network.Word(c.ch), data, cost.Base, nil)
 	if err == nil {
 		c.sent++
-		c.s.ep.Node().Event("crstream.packet.sent")
+		c.s.ep.Node().Event(evCrstreamPacketSent)
 	}
 	return err
 }
@@ -213,7 +219,7 @@ func (s *Stream) sink(src int, head network.Word, data []network.Word) error {
 		node.Charge(cost.Base, s.sched().CRStreamRecvFixed)
 	}
 	node.Charge(cost.Base, s.sched().CRStreamRecv)
-	node.Event("crstream.packet.recv")
+	node.Event(evCrstreamPacketRecv)
 	if s.cfg.OnDeliver != nil {
 		s.cfg.OnDeliver(src, ch, data)
 	}

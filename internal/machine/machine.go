@@ -59,14 +59,14 @@ func (n *Node) Charge(f cost.Feature, items cost.Items) {
 	n.Gauge.Charge(n.role, f, items)
 }
 
-// Event records a named protocol event on the node's gauge and notifies the
-// listener and observability scope, if any.
-func (n *Node) Event(name string) {
-	n.Gauge.CountEvent(name)
+// Event records a protocol event on the node's gauge and notifies the
+// listener and observability scope, if any, by name.
+func (n *Node) Event(e cost.Event) {
+	n.Gauge.CountEvent(e)
 	if n.EventListener != nil {
-		n.EventListener(name)
+		n.EventListener(e.Name())
 	}
-	n.Obs.Event(name)
+	n.Obs.Event(e.Name())
 }
 
 // HandleBegin enters the destination-handler context for a received packet

@@ -82,7 +82,7 @@ func TestRolesAndCharging(t *testing.T) {
 
 	src.Charge(cost.Base, src.Sched.SendSingle)
 	dst.Charge(cost.Base, dst.Sched.RecvSingle)
-	src.Event("sent")
+	src.Event(cost.NewEvent("sent"))
 
 	if got := src.Gauge.Cell(cost.Source, cost.Base).Total(); got != 20 {
 		t.Errorf("source base = %d, want 20", got)
@@ -190,8 +190,8 @@ func TestEventListener(t *testing.T) {
 	m := newMachine(t, 1)
 	var seen []string
 	m.Node(0).EventListener = func(name string) { seen = append(seen, name) }
-	m.Node(0).Event("a")
-	m.Node(0).Event("b")
+	m.Node(0).Event(cost.NewEvent("a"))
+	m.Node(0).Event(cost.NewEvent("b"))
 	if len(seen) != 2 || seen[0] != "a" || seen[1] != "b" {
 		t.Errorf("listener saw %v", seen)
 	}

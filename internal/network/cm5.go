@@ -23,10 +23,8 @@ type CM5Config struct {
 	Capacity int
 }
 
-type flowKey struct{ src, dst int }
-
 type flowState struct {
-	reorderer Reorderer
+	reorderer Reorderer // nil for in-order flows, which queue directly
 	nextSeq   uint64
 	held      int // packets inside the reorderer
 }
@@ -35,12 +33,14 @@ type flowState struct {
 // delivery order within a flow (per the configured policy), finite
 // buffering, and fault detection without correction.
 type CM5Net struct {
-	cfg    CM5Config
-	queues [][]Packet // deliverable packets per destination
-	flows  map[flowKey]*flowState
-	byDst  [][]*flowState // flows targeting each destination, for flushing
-	stats  Stats
-	obs    *obs.NetScope
+	cfg     CM5Config
+	queues  []ring         // deliverable packets per destination
+	flows   []*flowState   // per flow, indexed src*Nodes+dst; nil until used
+	byDst   [][]*flowState // flows targeting each destination, for flushing
+	faults  FaultPlan      // cfg.Faults, or nil when it is NoFaults
+	scratch []Packet       // packets a reorderer released, reused
+	stats   Stats
+	obs     *obs.NetScope
 }
 
 // NewCM5Net constructs the network.
@@ -60,11 +60,16 @@ func NewCM5Net(cfg CM5Config) (*CM5Net, error) {
 	if cfg.Faults == nil {
 		cfg.Faults = NoFaults{}
 	}
+	faults := cfg.Faults
+	if _, ok := faults.(NoFaults); ok {
+		faults = nil
+	}
 	return &CM5Net{
 		cfg:    cfg,
-		queues: make([][]Packet, cfg.Nodes),
-		flows:  make(map[flowKey]*flowState),
+		queues: make([]ring, cfg.Nodes),
+		flows:  make([]*flowState, cfg.Nodes*cfg.Nodes),
 		byDst:  make([][]*flowState, cfg.Nodes),
+		faults: faults,
 	}, nil
 }
 
@@ -100,7 +105,7 @@ func (n *CM5Net) PacketWords() int { return n.cfg.PacketWords }
 
 // inFlight counts packets buffered toward a destination, queued or held.
 func (n *CM5Net) inFlight(dst int) int {
-	count := len(n.queues[dst])
+	count := n.queues[dst].len()
 	for _, f := range n.byDst[dst] {
 		count += f.held
 	}
@@ -109,7 +114,7 @@ func (n *CM5Net) inFlight(dst int) int {
 
 // Inject implements Network.
 func (n *CM5Net) Inject(p Packet) error {
-	if err := validate(p, n.cfg.Nodes, n.cfg.PacketWords); err != nil {
+	if err := validate(&p, n.cfg.Nodes, n.cfg.PacketWords); err != nil {
 		return err
 	}
 	if n.cfg.Capacity > 0 && n.inFlight(p.Dst) >= n.cfg.Capacity {
@@ -118,11 +123,14 @@ func (n *CM5Net) Inject(p Packet) error {
 		return ErrBackpressure
 	}
 
-	key := flowKey{p.Src, p.Dst}
-	f := n.flows[key]
+	flow := p.Src*n.cfg.Nodes + p.Dst
+	f := n.flows[flow]
 	if f == nil {
 		f = &flowState{reorderer: n.cfg.Reorder()}
-		n.flows[key] = f
+		if _, ok := f.reorderer.(inOrder); ok {
+			f.reorderer = nil
+		}
+		n.flows[flow] = f
 		n.byDst[p.Dst] = append(n.byDst[p.Dst], f)
 	}
 	p.flow = f.nextSeq
@@ -131,20 +139,35 @@ func (n *CM5Net) Inject(p Packet) error {
 	n.stats.Injected++
 	n.obs.Injected()
 
-	switch n.cfg.Faults.Judge(p) {
-	case Drop:
-		n.stats.Dropped++
-		n.obs.Dropped(p.Dst)
-		return nil // the network ate it; nobody is told
-	case Corrupt:
-		p.Corrupt = true
+	if n.faults != nil {
+		switch n.faults.Judge(p) {
+		case Drop:
+			n.stats.Dropped++
+			n.obs.Dropped(p.Dst)
+			return nil // the network ate it; nobody is told
+		case Corrupt:
+			p.Corrupt = true
+		}
 	}
 
-	before := f.held + 1
-	released := f.reorderer.Push(p)
-	f.held = before - len(released)
-	n.queues[p.Dst] = append(n.queues[p.Dst], released...)
+	if f.reorderer == nil {
+		n.queues[p.Dst].push(&p)
+		return nil
+	}
+	released := f.reorderer.Push(n.scratch[:0], p)
+	f.held += 1 - len(released)
+	n.release(p.Dst, released)
 	return nil
+}
+
+// release queues packets a reorderer let go toward dst, then clears them
+// from the scratch slice so it keeps no payload alive.
+func (n *CM5Net) release(dst int, released []Packet) {
+	for i := range released {
+		n.queues[dst].push(&released[i])
+	}
+	clear(released)
+	n.scratch = released[:0]
 }
 
 // TryRecv implements Network. When a destination's queue is empty, any
@@ -154,20 +177,20 @@ func (n *CM5Net) TryRecv(node int) (Packet, bool) {
 	if node < 0 || node >= n.cfg.Nodes {
 		return Packet{}, false
 	}
-	if len(n.queues[node]) == 0 {
+	q := &n.queues[node]
+	if q.len() == 0 {
 		for _, f := range n.byDst[node] {
 			if f.held > 0 {
-				released := f.reorderer.Flush()
+				released := f.reorderer.Flush(n.scratch[:0])
 				f.held -= len(released)
-				n.queues[node] = append(n.queues[node], released...)
+				n.release(node, released)
 			}
 		}
 	}
-	if len(n.queues[node]) == 0 {
+	if q.len() == 0 {
 		return Packet{}, false
 	}
-	p := n.queues[node][0]
-	n.queues[node] = n.queues[node][1:]
+	p := q.pop()
 	n.stats.Delivered++
 	n.obs.Delivered()
 	if p.Corrupt {

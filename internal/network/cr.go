@@ -39,9 +39,9 @@ type Acceptor func(Packet) bool
 // place of software buffer preallocation.
 type CRNet struct {
 	cfg       CRConfig
-	queues    [][]Packet
+	queues    []ring
 	acceptors []Acceptor
-	flowSeq   map[flowKey]uint64
+	flowSeq   []uint64 // next sequence per flow, indexed src*Nodes+dst
 	stats     Stats
 	obs       *obs.NetScope
 }
@@ -59,9 +59,9 @@ func NewCRNet(cfg CRConfig) (*CRNet, error) {
 	}
 	return &CRNet{
 		cfg:       cfg,
-		queues:    make([][]Packet, cfg.Nodes),
+		queues:    make([]ring, cfg.Nodes),
 		acceptors: make([]Acceptor, cfg.Nodes),
-		flowSeq:   make(map[flowKey]uint64),
+		flowSeq:   make([]uint64, cfg.Nodes*cfg.Nodes),
 	}, nil
 }
 
@@ -95,7 +95,7 @@ func (n *CRNet) QueueDepth(node int) int {
 	if node < 0 || node >= n.cfg.Nodes {
 		return 0
 	}
-	return len(n.queues[node])
+	return n.queues[node].len()
 }
 
 // Nodes implements Network.
@@ -110,7 +110,7 @@ func (n *CRNet) PacketWords() int { return n.cfg.PacketWords }
 // before it has fully entered the network, and transient faults are retried
 // by hardware before the tail-flit acknowledgement releases the sender.
 func (n *CRNet) Inject(p Packet) error {
-	if err := validate(p, n.cfg.Nodes, n.cfg.PacketWords); err != nil {
+	if err := validate(&p, n.cfg.Nodes, n.cfg.PacketWords); err != nil {
 		return err
 	}
 	if a := n.acceptors[p.Dst]; a != nil && !a(p) {
@@ -118,7 +118,7 @@ func (n *CRNet) Inject(p Packet) error {
 		n.obs.Rejected(p.Dst)
 		return ErrRejected
 	}
-	if n.cfg.Capacity > 0 && len(n.queues[p.Dst]) >= n.cfg.Capacity {
+	if n.cfg.Capacity > 0 && n.queues[p.Dst].len() >= n.cfg.Capacity {
 		n.stats.Backpressure++
 		n.obs.Backpressure(p.Dst)
 		return ErrBackpressure
@@ -134,23 +134,22 @@ func (n *CRNet) Inject(p Packet) error {
 		n.obs.HWRetries(n.stats.HWRetries - before)
 	}
 
-	key := flowKey{p.Src, p.Dst}
-	p.flow = n.flowSeq[key]
-	n.flowSeq[key]++
+	seq := &n.flowSeq[p.Src*n.cfg.Nodes+p.Dst]
+	p.flow = *seq
+	*seq++
 	p.Data = clonePayload(p.Data)
 	n.stats.Injected++
 	n.obs.Injected()
-	n.queues[p.Dst] = append(n.queues[p.Dst], p)
+	n.queues[p.Dst].push(&p)
 	return nil
 }
 
 // TryRecv implements Network.
 func (n *CRNet) TryRecv(node int) (Packet, bool) {
-	if node < 0 || node >= n.cfg.Nodes || len(n.queues[node]) == 0 {
+	if node < 0 || node >= n.cfg.Nodes || n.queues[node].len() == 0 {
 		return Packet{}, false
 	}
-	p := n.queues[node][0]
-	n.queues[node] = n.queues[node][1:]
+	p := n.queues[node].pop()
 	n.stats.Delivered++
 	n.obs.Delivered()
 	return p, true
@@ -159,8 +158,8 @@ func (n *CRNet) TryRecv(node int) (Packet, bool) {
 // Pending implements Network.
 func (n *CRNet) Pending() int {
 	total := 0
-	for _, q := range n.queues {
-		total += len(q)
+	for i := range n.queues {
+		total += n.queues[i].len()
 	}
 	return total
 }

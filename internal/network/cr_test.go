@@ -35,6 +35,9 @@ func TestCRValidatesPackets(t *testing.T) {
 	}
 }
 
+// flowKey names a (source, destination) flow in the ordering properties.
+type flowKey struct{ src, dst int }
+
 // The central CR guarantee: delivery order within every flow equals
 // injection order, for any interleaving of flows.
 func TestCRPreservesOrderProperty(t *testing.T) {

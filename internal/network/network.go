@@ -15,6 +15,10 @@
 // These models carry real data end to end; the flit-level simulator in
 // package flitnet demonstrates the router mechanisms that give rise to the
 // same contracts and is cross-validated against these models.
+//
+// Every Network copies a packet's payload during Inject, so the caller owns
+// its Data slice again as soon as Inject returns, whatever the outcome: the
+// network interface reuses one staging buffer for every packet it sends.
 package network
 
 import (
@@ -78,7 +82,8 @@ type Network interface {
 	PacketWords() int
 	// Inject attempts to insert a packet. It may fail with
 	// ErrBackpressure (finite buffering) or ErrRejected (CR header
-	// rejection); both leave the network unchanged.
+	// rejection); both leave the network unchanged. Inject never keeps
+	// p.Data: an accepted packet travels with a copy of its payload.
 	Inject(p Packet) error
 	// TryRecv pops the next deliverable packet for a node, reporting
 	// false when nothing is deliverable.
@@ -106,7 +111,7 @@ func (s Stats) String() string {
 }
 
 // validate checks an injection request against the substrate geometry.
-func validate(p Packet, nodes, packetWords int) error {
+func validate(p *Packet, nodes, packetWords int) error {
 	if p.Src < 0 || p.Src >= nodes || p.Dst < 0 || p.Dst >= nodes {
 		return fmt.Errorf("%w: src=%d dst=%d with %d nodes", ErrBadPacket, p.Src, p.Dst, nodes)
 	}

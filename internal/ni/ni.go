@@ -35,7 +35,7 @@ type NI struct {
 	sendDst    int
 	sendTag    network.Tag
 	sendHead   network.Word
-	sendData   []network.Word
+	sendData   []network.Word // reused: Inject copies the payload
 	sendStaged bool
 
 	// Observability identity staged alongside the packet (StageTrace).
@@ -87,7 +87,7 @@ func (n *NI) StageDest(dst int, tag network.Tag) {
 	n.sendDst = dst
 	n.sendTag = tag
 	n.sendHead = 0
-	n.sendData = nil
+	n.sendData = n.sendData[:0]
 	n.sendStaged = true
 	n.sendMsg, n.sendSpan, n.sendPkt = 0, 0, 0
 }
@@ -136,7 +136,7 @@ func (n *NI) Push() error {
 	n.sendDst = -1
 	n.sendTag = 0
 	n.sendHead = 0
-	n.sendData = nil
+	n.sendData = n.sendData[:0]
 	n.sendStaged = false
 	n.sendMsg, n.sendSpan, n.sendPkt = 0, 0, 0
 	return nil

@@ -244,3 +244,51 @@ func TestPushRejectedKeepsStaged(t *testing.T) {
 		t.Fatalf("retry = %v", err)
 	}
 }
+
+// TestStagePushAllocs checks that staging and pushing a packet allocates
+// nothing of its own: the staging buffer is reused, so a send and receive
+// cost only the payload copy the network makes.
+func TestStagePushAllocs(t *testing.T) {
+	src, dst, _ := newPair(t)
+	payload := []network.Word{1, 2, 3, 4}
+	round := func() {
+		src.StageDest(1, 3)
+		src.StageHead(77)
+		src.StageData(payload...)
+		if err := src.Push(); err != nil {
+			t.Fatal(err)
+		}
+		if !dst.RecvReady() {
+			t.Fatal("packet lost")
+		}
+		dst.ReadMeta()
+		dst.ReadData()
+	}
+	round() // sizes the staging buffer and the network's queue
+	if got := testing.AllocsPerRun(200, round); got > 1 {
+		t.Errorf("%.2f allocations per packet, want <= 1 (the network's payload copy)", got)
+	}
+}
+
+// TestStagingReuseKeepsQueuedPayloads sends several packets before any is
+// received: each must arrive with its own payload even though every send
+// staged through the same buffer.
+func TestStagingReuseKeepsQueuedPayloads(t *testing.T) {
+	src, dst, _ := newPair(t)
+	for i := network.Word(0); i < 5; i++ {
+		src.StageDest(1, 3)
+		src.StageData(i, i+10)
+		if err := src.Push(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := network.Word(0); i < 5; i++ {
+		if !dst.RecvReady() {
+			t.Fatalf("packet %d lost", i)
+		}
+		dst.ReadMeta()
+		if got := dst.ReadData(); len(got) != 2 || got[0] != i || got[1] != i+10 {
+			t.Errorf("packet %d payload = %v", i, got)
+		}
+	}
+}

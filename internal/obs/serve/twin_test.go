@@ -59,6 +59,7 @@ func TestObsServeTwinBadRequest(t *testing.T) {
 		"/twin?topology=torus",
 		"/twin?proto=warp",
 		"/twin?proto=cm5-stream&words=junk",
+		"/twin?proto=cm5-stream&words=4611686018427387904", // instruction count overflows
 	} {
 		rec := httptest.NewRecorder()
 		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))

@@ -9,6 +9,27 @@ import (
 	"msglayer/internal/network"
 )
 
+// Protocol events counted on the node gauges.
+var (
+	evFiniteStart        = cost.NewEvent("finite.start")
+	evFiniteRetryAlloc   = cost.NewEvent("finite.retry.alloc")
+	evFiniteRetryData    = cost.NewEvent("finite.retry.data")
+	evFiniteBackpressure = cost.NewEvent("finite.backpressure")
+	evFinitePacketSent   = cost.NewEvent("finite.packet.sent")
+	evFiniteAllocreqRecv = cost.NewEvent("finite.allocreq.recv")
+	evFiniteReack        = cost.NewEvent("finite.reack")
+	evFiniteRereply      = cost.NewEvent("finite.rereply")
+	evFiniteSegmentAlloc = cost.NewEvent("finite.segment.alloc")
+	evFinitePacketRecv   = cost.NewEvent("finite.packet.recv")
+	evFiniteSegmentFree  = cost.NewEvent("finite.segment.free")
+	evFiniteAckSent      = cost.NewEvent("finite.ack.sent")
+	evFiniteReplySent    = cost.NewEvent("finite.reply.sent")
+	evFiniteReplyRecv    = cost.NewEvent("finite.reply.recv")
+	evFiniteStaleReply   = cost.NewEvent("finite.stale.reply")
+	evFiniteStaleAck     = cost.NewEvent("finite.stale.ack")
+	evFiniteAckRecv      = cost.NewEvent("finite.ack.recv")
+)
+
 // FiniteID identifies one finite-sequence transfer, unique per source node.
 type FiniteID uint16
 
@@ -134,7 +155,7 @@ func (f *Finite) Start(dst int, data []network.Word) (*FiniteTransfer, error) {
 		delete(f.outgoing, t.id)
 		return nil, err
 	}
-	f.ep.Node().Event("finite.start")
+	f.ep.Node().Event(evFiniteStart)
 	obsScope.SwapMsg(prevMsg)
 	return t, nil
 }
@@ -204,7 +225,7 @@ func (t *FiniteTransfer) checkTimeout() error {
 		if err != nil && !errors.Is(err, network.ErrBackpressure) {
 			return err
 		}
-		node.Event("finite.retry.alloc")
+		node.Event(evFiniteRetryAlloc)
 	case finiteWaitAck:
 		// Data packets or the acknowledgement were lost: resend the
 		// retained copy. Carried offsets make duplicates idempotent, and
@@ -232,7 +253,7 @@ func (t *FiniteTransfer) checkTimeout() error {
 		if err != nil && !errors.Is(err, network.ErrBackpressure) {
 			return err
 		}
-		node.Event("finite.retry.data")
+		node.Event(evFiniteRetryData)
 	}
 	return nil
 }
@@ -259,7 +280,7 @@ func (t *FiniteTransfer) pumpSend() error {
 		err := t.f.ep.SendXfer(t.dst, t.seg, t.sent, t.data[t.sent:end], cost.Base, nil)
 		if errors.Is(err, network.ErrBackpressure) {
 			node.Charge(cost.Base, retryProbe)
-			node.Event("finite.backpressure")
+			node.Event(evFiniteBackpressure)
 			return nil // try again next pump
 		}
 		if err != nil {
@@ -269,7 +290,7 @@ func (t *FiniteTransfer) pumpSend() error {
 		// bookkeeping the carried-offset scheme costs the source.
 		node.Charge(cost.Base, t.f.sched().XferSendPacket)
 		node.Charge(cost.InOrder, t.f.sched().OffsetPerPacket)
-		node.Event("finite.packet.sent")
+		node.Event(evFinitePacketSent)
 		t.sent = end
 	}
 	t.state = finiteWaitAck
@@ -280,7 +301,7 @@ func (t *FiniteTransfer) pumpSend() error {
 func (f *Finite) handleAllocReq(src int, args []network.Word) {
 	node := f.ep.Node()
 	node.Charge(cost.BufferMgmt, f.sched().AllocRequestRecv)
-	node.Event("finite.allocreq.recv")
+	node.Event(evFiniteAllocreqRecv)
 	if len(args) != 2 {
 		f.err = fmt.Errorf("protocols: malformed alloc request from node %d: %v", src, args)
 		return
@@ -302,13 +323,13 @@ func (f *Finite) handleAllocReq(src int, args []network.Word) {
 				network.Word(id)); err != nil && !errors.Is(err, network.ErrBackpressure) {
 				f.err = err
 			}
-			node.Event("finite.reack")
+			node.Event(evFiniteReack)
 		} else {
 			if err := f.ep.SendAM(src, HFiniteAllocReply, cost.FaultTol, f.sched().AllocReplySend,
 				network.Word(id), network.Word(in.seg)); err != nil && !errors.Is(err, network.ErrBackpressure) {
 				f.err = err
 			}
-			node.Event("finite.rereply")
+			node.Event(evFiniteRereply)
 		}
 		return
 	}
@@ -322,7 +343,7 @@ func (f *Finite) handleAllocReq(src int, args []network.Word) {
 
 	// Step 2: associate a segment with the target buffer.
 	node.Charge(cost.BufferMgmt, f.sched().SegmentAllocate)
-	node.Event("finite.segment.alloc")
+	node.Event(evFiniteSegmentAlloc)
 	record := &finIncoming{}
 	f.incoming[key] = record
 	var seg cmam.SegmentID
@@ -330,13 +351,13 @@ func (f *Finite) handleAllocReq(src int, args []network.Word) {
 		func(offset, words int) {
 			node.Charge(cost.Base, f.sched().XferRecvPacket)
 			node.Charge(cost.InOrder, f.sched().OffsetTrackPacket)
-			node.Event("finite.packet.recv")
+			node.Event(evFinitePacketRecv)
 		},
 		func() {
 			// Step 5: free the communication segment.
 			record.done = true
 			node.Charge(cost.BufferMgmt, f.sched().SegmentDeallocate)
-			node.Event("finite.segment.free")
+			node.Event(evFiniteSegmentFree)
 			if err := f.ep.FreeSegment(seg); err != nil {
 				f.err = err
 				return
@@ -347,7 +368,7 @@ func (f *Finite) handleAllocReq(src int, args []network.Word) {
 				f.err = err
 				return
 			}
-			node.Event("finite.ack.sent")
+			node.Event(evFiniteAckSent)
 			if f.OnReceive != nil {
 				f.OnReceive(src, buf)
 			}
@@ -364,14 +385,14 @@ func (f *Finite) handleAllocReq(src int, args []network.Word) {
 		f.err = err
 		return
 	}
-	node.Event("finite.reply.sent")
+	node.Event(evFiniteReplySent)
 }
 
 // handleAllocReply runs at the source (end of step 3).
 func (f *Finite) handleAllocReply(src int, args []network.Word) {
 	node := f.ep.Node()
 	node.Charge(cost.BufferMgmt, f.sched().AllocReplyRecv)
-	node.Event("finite.reply.recv")
+	node.Event(evFiniteReplyRecv)
 	if len(args) != 2 {
 		f.err = fmt.Errorf("protocols: malformed alloc reply from node %d: %v", src, args)
 		return
@@ -379,7 +400,7 @@ func (f *Finite) handleAllocReply(src int, args []network.Word) {
 	t, ok := f.outgoing[FiniteID(args[0])]
 	if !ok || t.state != finiteWaitReply {
 		// A duplicate reply from the retransmission path; harmless.
-		node.Event("finite.stale.reply")
+		node.Event(evFiniteStaleReply)
 		return
 	}
 	t.seg = cmam.SegmentID(args[1])
@@ -399,11 +420,11 @@ func (f *Finite) handleAck(src int, args []network.Word) {
 	t, ok := f.outgoing[FiniteID(args[0])]
 	if !ok || t.state != finiteWaitAck {
 		// A duplicate acknowledgement from the retransmission path.
-		node.Event("finite.stale.ack")
+		node.Event(evFiniteStaleAck)
 		return
 	}
 	t.state = finiteDone
 	t.data = nil // the retained copy may now be released
 	delete(f.outgoing, t.id)
-	node.Event("finite.ack.recv")
+	node.Event(evFiniteAckRecv)
 }

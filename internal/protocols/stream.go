@@ -9,6 +9,23 @@ import (
 	"msglayer/internal/network"
 )
 
+// Protocol events counted on the node gauges.
+var (
+	evStreamSrcbuffer    = cost.NewEvent("stream.srcbuffer")
+	evStreamBackpressure = cost.NewEvent("stream.backpressure")
+	evStreamPacketSent   = cost.NewEvent("stream.packet.sent")
+	evStreamTimeout      = cost.NewEvent("stream.timeout")
+	evStreamRetransmit   = cost.NewEvent("stream.retransmit")
+	evStreamInorder      = cost.NewEvent("stream.inorder")
+	evStreamDrain        = cost.NewEvent("stream.drain")
+	evStreamDuplicate    = cost.NewEvent("stream.duplicate")
+	evStreamAckSent      = cost.NewEvent("stream.ack.sent")
+	evStreamOutoforder   = cost.NewEvent("stream.outoforder")
+	evStreamNackSent     = cost.NewEvent("stream.nack.sent")
+	evStreamAckRecv      = cost.NewEvent("stream.ack.recv")
+	evStreamNackRecv     = cost.NewEvent("stream.nack.recv")
+)
+
 // Stream head-word packing: an 8-bit channel and a 24-bit sequence number.
 const (
 	streamSeqBits = 24
@@ -192,7 +209,7 @@ func (c *Conn) Send(data ...network.Word) error {
 	node.Charge(cost.FaultTol, c.s.sched().SourceBufferPacket)
 	node.Charge(cost.InOrder, c.s.sched().SeqPerPacket)
 	node.Charge(cost.Base, c.s.sched().StreamSendPacket)
-	node.Event("stream.srcbuffer")
+	node.Event(evStreamSrcbuffer)
 	buf := make([]network.Word, len(data))
 	copy(buf, data)
 	c.unacked[seq] = buf
@@ -216,7 +233,7 @@ func (c *Conn) flush() error {
 		err := c.inject(seq, data)
 		if errors.Is(err, network.ErrBackpressure) {
 			node.Charge(cost.Base, retryProbe)
-			node.Event("stream.backpressure")
+			node.Event(evStreamBackpressure)
 			node.Obs.SwapMsg(prev)
 			node.Obs.SendQueueDepth(len(c.sendq))
 			return nil
@@ -225,7 +242,7 @@ func (c *Conn) flush() error {
 			node.Obs.SwapMsg(prev)
 			return err
 		}
-		node.Event("stream.packet.sent")
+		node.Event(evStreamPacketSent)
 		node.Obs.SwapMsg(prev)
 		c.sendq = c.sendq[1:]
 	}
@@ -273,7 +290,7 @@ func (s *Stream) Pump() error {
 			if err := c.retransmit(c.oldest); err != nil {
 				return err
 			}
-			s.ep.Node().Event("stream.timeout")
+			s.ep.Node().Event(evStreamTimeout)
 		}
 	}
 	return nil
@@ -305,11 +322,11 @@ func (c *Conn) retransmit(seq uint32) error {
 	prev := node.Obs.SwapMsg(c.msgOf(seq))
 	defer node.Obs.SwapMsg(prev)
 	node.Charge(cost.FaultTol, c.s.sched().Retransmit)
-	node.Event("stream.retransmit")
+	node.Event(evStreamRetransmit)
 	err := c.inject(seq, data)
 	if errors.Is(err, network.ErrBackpressure) {
 		node.Charge(cost.Base, retryProbe)
-		node.Event("stream.backpressure")
+		node.Event(evStreamBackpressure)
 		return nil // the timeout will fire again
 	}
 	return err
@@ -333,7 +350,7 @@ func (s *Stream) sink(src int, head network.Word, data []network.Word) error {
 	switch {
 	case seq == in.expected:
 		node.Charge(cost.InOrder, s.sched().InOrderArrival)
-		node.Event("stream.inorder")
+		node.Event(evStreamInorder)
 		if err := s.deliver(src, ch, in, data); err != nil {
 			return err
 		}
@@ -345,7 +362,7 @@ func (s *Stream) sink(src int, head network.Word, data []network.Word) error {
 			}
 			delete(in.buffered, in.expected)
 			node.Charge(cost.InOrder, s.sched().DrainBuffered)
-			node.Event("stream.drain")
+			node.Event(evStreamDrain)
 			if err := s.deliver(src, ch, in, next); err != nil {
 				return err
 			}
@@ -354,26 +371,26 @@ func (s *Stream) sink(src int, head network.Word, data []network.Word) error {
 		// The sender is retransmitting something we already delivered —
 		// our acknowledgement must have been lost. Re-acknowledge
 		// cumulatively so the sender's buffers drain.
-		node.Event("stream.duplicate")
+		node.Event(evStreamDuplicate)
 		if in.expected > 0 {
 			if err := s.ep.SendAM(src, HStreamAck, cost.FaultTol, s.sched().StreamAckSend,
 				network.Word(ch), network.Word(in.expected-1)); err != nil {
 				if errors.Is(err, network.ErrBackpressure) {
-					node.Event("stream.backpressure")
+					node.Event(evStreamBackpressure)
 					return nil
 				}
 				return err
 			}
 			in.sinceAck = 0
-			node.Event("stream.ack.sent")
+			node.Event(evStreamAckSent)
 		}
 	default:
 		if _, dup := in.buffered[seq]; dup {
-			node.Event("stream.duplicate")
+			node.Event(evStreamDuplicate)
 			break
 		}
 		node.Charge(cost.InOrder, s.sched().OutOfOrderArrival)
-		node.Event("stream.outoforder")
+		node.Event(evStreamOutoforder)
 		buf := make([]network.Word, len(data))
 		copy(buf, data)
 		in.buffered[seq] = buf
@@ -393,7 +410,7 @@ func (s *Stream) sink(src int, head network.Word, data []network.Word) error {
 			}
 			return err
 		}
-		node.Event("stream.nack.sent")
+		node.Event(evStreamNackSent)
 	}
 	return nil
 }
@@ -417,12 +434,12 @@ func (s *Stream) deliver(src int, ch uint8, in *inConn, data []network.Word) err
 				// Charge was taken; the next delivery's acknowledgement
 				// is cumulative, so correctness is unaffected.
 				in.sinceAck = s.cfg.AckGroup
-				node.Event("stream.backpressure")
+				node.Event(evStreamBackpressure)
 				return nil
 			}
 			return err
 		}
-		node.Event("stream.ack.sent")
+		node.Event(evStreamAckSent)
 	}
 	return nil
 }
@@ -450,7 +467,7 @@ func (s *Stream) handleAck(src int, args []network.Word) {
 		c.oldest = through + 1
 	}
 	c.idlePump = 0
-	node.Event("stream.ack.recv")
+	node.Event(evStreamAckRecv)
 }
 
 // handleNack runs at the source: retransmit the requested packet.
@@ -469,5 +486,5 @@ func (s *Stream) handleNack(src int, args []network.Word) {
 	if err := c.retransmit(uint32(args[1])); err != nil {
 		s.err = err
 	}
-	node.Event("stream.nack.recv")
+	node.Event(evStreamNackRecv)
 }

@@ -22,6 +22,13 @@ import (
 	"msglayer/internal/network"
 )
 
+// Protocol events counted on the node gauges.
+var (
+	evReqreplyRequest   = cost.NewEvent("reqreply.request")
+	evReqreplyReplied   = cost.NewEvent("reqreply.replied")
+	evReqreplyCompleted = cost.NewEvent("reqreply.completed")
+)
+
 // Handler identifiers; applications sharing the endpoint must avoid them.
 const (
 	hRequest cmam.HandlerID = 40
@@ -79,7 +86,7 @@ func (s *Service) Request(dst int, args ...network.Word) (*Call, error) {
 		delete(s.pending, id)
 		return nil, err
 	}
-	s.ep.Node().Event("reqreply.request")
+	s.ep.Node().Event(evReqreplyRequest)
 	return call, nil
 }
 
@@ -127,7 +134,7 @@ func (s *Service) handleRequest(src int, args []network.Word) {
 		s.err = fmt.Errorf("reqreply: reply to node %d failed: %w", src, err)
 		return
 	}
-	node.Event("reqreply.replied")
+	node.Event(evReqreplyReplied)
 }
 
 // handleReply completes the matching call.
@@ -151,5 +158,5 @@ func (s *Service) handleReply(src int, args []network.Word) {
 	call.reply = append([]network.Word(nil), args[2:2+n]...)
 	call.done = true
 	delete(s.pending, call.id)
-	node.Event("reqreply.completed")
+	node.Event(evReqreplyCompleted)
 }

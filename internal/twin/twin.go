@@ -285,7 +285,7 @@ func (s *series) base() float64 {
 // calibrated curve rescaled by the topologies' mean path lengths), flagged
 // with Calibrated=false. Evaluation allocates nothing.
 func (pt NetPoint) PredictNet() (NetPrediction, error) {
-	if pt.Load <= 0 || pt.Load > 1 {
+	if !(pt.Load > 0 && pt.Load <= 1) { // written to reject NaN too
 		return NetPrediction{}, fmt.Errorf("twin: load %g out of (0, 1]", pt.Load)
 	}
 	if pt.Cycles < 1 {

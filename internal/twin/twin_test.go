@@ -162,6 +162,28 @@ func TestPredictProtoErrors(t *testing.T) {
 	}
 }
 
+// TestPredictProtoRejectsOverflow: a size whose instruction count would
+// wrap uint64 is an error rather than a wrapped total, while sizes below
+// the bound still grow with the message.
+func TestPredictProtoRejectsOverflow(t *testing.T) {
+	for _, sc := range []string{"cm5-finite", "cm5-stream", "cr-finite", "cr-stream"} {
+		if p, err := (ProtoPoint{Scenario: sc, Words: 1 << 62}).PredictProto(); err == nil {
+			t.Errorf("%s at 2^62 words: total %d, want an overflow error", sc, p.Total)
+		}
+		small, err := (ProtoPoint{Scenario: sc, Words: 1 << 52}).PredictProto()
+		if err != nil {
+			t.Fatalf("%s at 2^52 words: %v", sc, err)
+		}
+		large, err := (ProtoPoint{Scenario: sc, Words: 1 << 53}).PredictProto()
+		if err != nil {
+			t.Fatalf("%s at 2^53 words: %v", sc, err)
+		}
+		if large.Total <= small.Total {
+			t.Errorf("%s: 2^53 words total %d <= 2^52 words total %d", sc, large.Total, small.Total)
+		}
+	}
+}
+
 // TestPredictNetZeroAlloc: O(1) evaluation means zero heap traffic — this
 // is what makes the 10^4x speedup hold at sweep scale.
 func TestPredictNetZeroAlloc(t *testing.T) {
