@@ -9,8 +9,7 @@
 // Every report is cross-checked before it is printed: the per-message
 // attribution must reconcile exactly with the aggregate metrics registry
 // (the counters the Table 1-3 reproduction is verified against), and the
-// output is byte-identical across -parallel worker counts and the dense vs
-// event-driven flit engines.
+// output is byte-identical across -parallel worker counts.
 //
 // Usage:
 //
@@ -21,7 +20,7 @@
 //	critpath -flow flow.json          # Chrome flow-arrow trace ("-" = stdout)
 //	critpath -flow-scenario cr-stream # which scenario the flow trace covers
 //	critpath -noflit                  # skip the flit-level grid
-//	critpath -parallel 8 -dense       # flit grid workers / dense reference engine
+//	critpath -parallel 8              # flit grid workers (report is byte-identical)
 //	critpath -timeline-out tl.json    # windowed metrics timeline (.csv for CSV)
 package main
 
@@ -33,6 +32,7 @@ import (
 	"os"
 	"strings"
 
+	"msglayer/internal/cli"
 	"msglayer/internal/critpath"
 	"msglayer/internal/experiments"
 	"msglayer/internal/flitnet"
@@ -66,7 +66,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	noFlit := fs.Bool("noflit", false, "skip the flit-level transit grid")
 	cycles := fs.Int("cycles", 400, "cycles per flit-grid point")
 	parallel := fs.Int("parallel", 0, "worker goroutines for the flit grid (0 = GOMAXPROCS, 1 = serial)")
-	dense := fs.Bool("dense", false, "use the dense reference flit engine (report is byte-identical)")
 	timelineOut := fs.String("timeline-out", "",
 		"run the selected protocol scenarios into one shared hub, sampling windowed metric deltas on the round clock, and write the timeline (\"-\" = stdout; a .csv suffix selects CSV, otherwise JSON)")
 	timelineInterval := fs.Int("timeline-interval", 16, "timeline window width in machine rounds")
@@ -132,7 +131,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		points = make([]flitPoint, len(flitModes)*len(flitLoads))
 		err := parsweep.Run(workers, len(points), func(i int) error {
 			mode, load := flitModes[i/len(flitLoads)], flitLoads[i%len(flitLoads)]
-			h, err := runFlitPoint(mode, load, *cycles, *dense)
+			h, err := runFlitPoint(mode, load, *cycles)
 			if err != nil {
 				return err
 			}
@@ -170,7 +169,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			return timeline.WriteJSON(w, tl)
 		}
-		if err := writeTo(*timelineOut, stdout, render); err != nil {
+		if err := cli.WriteTo(*timelineOut, stdout, render); err != nil {
 			fmt.Fprintln(stderr, "critpath:", err)
 			return 1
 		}
@@ -187,7 +186,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "critpath: -flow-scenario %q was not run (add it to -scenarios)\n", *flowScenario)
 			return 1
 		}
-		if err := writeTo(*flowOut, stdout, func(w io.Writer) error {
+		if err := cli.WriteTo(*flowOut, stdout, func(w io.Writer) error {
 			return critpath.WriteChromeFlow(w, src.Trace.Events())
 		}); err != nil {
 			fmt.Fprintln(stderr, "critpath:", err)
@@ -297,7 +296,7 @@ func runTimeline(scenarios []string, words int, interval uint64) (*timeline.Time
 
 // runFlitPoint runs one (mode, load) point of the transit grid on a fat
 // tree, with a FlitScope capturing every worm's lifetime into its own hub.
-func runFlitPoint(mode flitnet.Mode, load float64, cycles int, dense bool) (*obs.Hub, error) {
+func runFlitPoint(mode flitnet.Mode, load float64, cycles int) (*obs.Hub, error) {
 	topo, err := topology.NewFatTree(4, 2)
 	if err != nil {
 		return nil, err
@@ -305,7 +304,6 @@ func runFlitPoint(mode flitnet.Mode, load float64, cycles int, dense bool) (*obs
 	net, err := flitnet.New(flitnet.Config{
 		Topology: topo, Mode: mode,
 		BufferFlits: 3, InjectQueue: 8,
-		DenseReference: dense,
 	})
 	if err != nil {
 		return nil, err
@@ -336,25 +334,4 @@ func runFlitPoint(mode flitnet.Mode, load float64, cycles int, dense bool) (*obs
 		}
 	}
 	return h, nil
-}
-
-// writeTo renders into a file, or stdout for "-". A failed render removes
-// the file rather than leaving a truncated dump behind.
-func writeTo(dest string, stdout io.Writer, render func(io.Writer) error) error {
-	if dest == "-" {
-		return render(stdout)
-	}
-	f, err := os.Create(dest)
-	if err != nil {
-		return fmt.Errorf("writing %s: %w", dest, err)
-	}
-	err = render(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(dest)
-		return fmt.Errorf("writing %s: %w", dest, err)
-	}
-	return nil
 }

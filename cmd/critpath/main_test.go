@@ -30,16 +30,6 @@ func TestReportByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestReportByteIdenticalAcrossEngines holds the report to the flit-engine
-// contract: the dense reference and event-driven engines trace identically.
-func TestReportByteIdenticalAcrossEngines(t *testing.T) {
-	event := render(t, "-cycles", "200")
-	dense := render(t, "-cycles", "200", "-dense")
-	if event != dense {
-		t.Fatal("report differs between event-driven and dense flit engines")
-	}
-}
-
 // TestReportShowsAllSections sanity-checks the default text report.
 func TestReportShowsAllSections(t *testing.T) {
 	out := render(t, "-cycles", "200")

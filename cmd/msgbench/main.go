@@ -29,6 +29,7 @@ import (
 	"strings"
 	"time"
 
+	"msglayer/internal/cli"
 	"msglayer/internal/critpath"
 	"msglayer/internal/experiments"
 	"msglayer/internal/obs"
@@ -259,13 +260,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if hub != nil {
 		if *metrics != "" {
-			if err := writeTo(*metrics, stdout, hub.Metrics.WritePrometheus); err != nil {
+			if err := cli.WriteTo(*metrics, stdout, hub.Metrics.WritePrometheus); err != nil {
 				fmt.Fprintln(stderr, "msgbench:", err)
 				return 1
 			}
 		}
 		if *traceOut != "" {
-			if err := writeTo(*traceOut, stdout, hub.Trace.WriteChromeTrace); err != nil {
+			if err := cli.WriteTo(*traceOut, stdout, hub.Trace.WriteChromeTrace); err != nil {
 				fmt.Fprintln(stderr, "msgbench:", err)
 				return 1
 			}
@@ -274,7 +275,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			render := func(w io.Writer) error {
 				return critpath.WriteText(w, critpath.Analyze(hub.Trace.Events()))
 			}
-			if err := writeTo(*critpathOut, stdout, render); err != nil {
+			if err := cli.WriteTo(*critpathOut, stdout, render); err != nil {
 				fmt.Fprintln(stderr, "msgbench:", err)
 				return 1
 			}
@@ -293,7 +294,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				}
 				return timeline.WriteJSON(w, tl)
 			}
-			if err := writeTo(*timelineOut, stdout, render); err != nil {
+			if err := cli.WriteTo(*timelineOut, stdout, render); err != nil {
 				fmt.Fprintln(stderr, "msgbench:", err)
 				return 1
 			}
@@ -325,7 +326,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return monitor.WriteText(w, rep)
 			}
 		}
-		if err := writeTo(*sloOut, stdout, render); err != nil {
+		if err := cli.WriteTo(*sloOut, stdout, render); err != nil {
 			fmt.Fprintln(stderr, "msgbench:", err)
 			return 1
 		}
@@ -345,27 +346,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 3
 	}
 	return 0
-}
-
-// writeTo renders into a file, or stdout for "-". A failed render or close
-// removes the file rather than leaving a truncated dump behind.
-func writeTo(dest string, stdout io.Writer, render func(io.Writer) error) error {
-	if dest == "-" {
-		return render(stdout)
-	}
-	f, err := os.Create(dest)
-	if err != nil {
-		return fmt.Errorf("writing %s: %w", dest, err)
-	}
-	err = render(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(dest)
-		return fmt.Errorf("writing %s: %w", dest, err)
-	}
-	return nil
 }
 
 func one(runOne func() (experiments.Result, error)) ([]experiments.Result, error) {

@@ -18,7 +18,6 @@
 //	netload -timeline-out tl.json      # windowed metrics timeline per point (.csv for CSV)
 //	netload -cpuprofile cpu.out        # pprof CPU profile of the sweep
 //	netload -memprofile mem.out        # pprof allocation profile at exit
-//	netload -dense                     # dense reference engine (baseline)
 //	netload -critpath cp.txt           # per-worm critical-path attribution ("-" = stdout)
 //	netload -slo rules.yaml            # evaluate SLO rules per point; exit 3 on violation
 package main
@@ -36,6 +35,7 @@ import (
 	"strings"
 	"time"
 
+	"msglayer/internal/cli"
 	"msglayer/internal/critpath"
 	"msglayer/internal/flitnet"
 	"msglayer/internal/network"
@@ -80,8 +80,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		"serve live observability on this address (/metrics, /snapshot, /trace, /debug/pprof/) during the sweep, then until interrupted; SIGINT shuts down cleanly")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof allocation profile to this file at exit")
-	dense := fs.Bool("dense", false,
-		"use the retained dense reference engine (scan every lane every cycle) instead of the event-driven scheduler; results are byte-identical, only speed differs")
 	critpathOut := fs.String("critpath", "",
 		"trace every worm's transit and write a per-message critical-path attribution report (\"-\" = stdout); reconciled exactly against per-point counters")
 	timelineOut := fs.String("timeline-out", "",
@@ -258,7 +256,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		if *timelineOut != "" || *sloRules != "" {
 			sampler = timeline.New(pointHub.Metrics, timeline.Config{Interval: uint64(*timelineInterval)})
 		}
-		thru, lat, st, idle, err := measure(topo, mode, *vcs, pattern, load, *cycles, *seed, *dense, scope, sampler)
+		thru, lat, st, idle, err := measure(topo, mode, *vcs, pattern, load, *cycles, *seed, scope, sampler)
 		if err != nil {
 			return err
 		}
@@ -320,7 +318,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	if *critpathOut != "" {
-		err := writeTo(*critpathOut, stdout, func(w io.Writer) error {
+		err := cli.WriteTo(*critpathOut, stdout, func(w io.Writer) error {
 			for i := 0; i < prefix; i++ {
 				res := results[i]
 				if res.hub == nil {
@@ -361,7 +359,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 				Timeline:     results[i].tl,
 			})
 		}
-		err := writeTo(*timelineOut, stdout, func(w io.Writer) error {
+		err := cli.WriteTo(*timelineOut, stdout, func(w io.Writer) error {
 			if strings.HasSuffix(*timelineOut, ".csv") {
 				cw := csv.NewWriter(w)
 				if err := cw.Write(timeline.CSVHeader("mode", "load_permille")); err != nil {
@@ -425,7 +423,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		case strings.HasSuffix(*baselineOut, ".csv"):
 			render = diff.WriteCSV
 		}
-		err := writeTo(*baselineOut, stdout, func(w io.Writer) error { return render(w, rep) })
+		err := cli.WriteTo(*baselineOut, stdout, func(w io.Writer) error { return render(w, rep) })
 		if err != nil {
 			fmt.Fprintln(stderr, "netload:", err)
 			return 1
@@ -434,13 +432,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 	if hub != nil {
 		if *metricsOut != "" {
-			if err := writeTo(*metricsOut, stdout, hub.Metrics.WritePrometheus); err != nil {
+			if err := cli.WriteTo(*metricsOut, stdout, hub.Metrics.WritePrometheus); err != nil {
 				fmt.Fprintln(stderr, "netload:", err)
 				return 1
 			}
 		}
 		if *traceOut != "" {
-			if err := writeTo(*traceOut, stdout, hub.Trace.WriteChromeTrace); err != nil {
+			if err := cli.WriteTo(*traceOut, stdout, hub.Trace.WriteChromeTrace); err != nil {
 				fmt.Fprintln(stderr, "netload:", err)
 				return 1
 			}
@@ -453,7 +451,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprint(stdout, report.CSV("load_permille", names, points))
 	} else {
 		fmt.Fprint(stdout, report.Series(title, "load", names, points))
-		fmt.Fprintf(stdout, "# idle cycles fast-forwarded: %d (event-driven engine; 0 under -dense)\n", idleTotal)
+		fmt.Fprintf(stdout, "# idle cycles fast-forwarded: %d\n", idleTotal)
 		if len(tlPoints) > 0 {
 			// Per-phase overhead breakdowns: each point's run segmented into
 			// warmup/steady/burst/drain from its windowed event rates.
@@ -468,8 +466,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	// SLO evaluation replays every completed point's timeline through the
 	// monitor, in input order, so the merged alert report is byte-identical
-	// at any -parallel value and on either engine. The report is
-	// written before the violation exit so the artifact always exists.
+	// at any -parallel value. The report is written before the violation
+	// exit so the artifact always exists.
 	sloViolated := false
 	if rules != nil {
 		var reports []*monitor.Report
@@ -492,7 +490,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			reports = append(reports, rep)
 			sloViolated = sloViolated || len(rep.Incidents) > 0
 		}
-		err := writeTo(*sloOut, stdout, func(w io.Writer) error {
+		err := cli.WriteTo(*sloOut, stdout, func(w io.Writer) error {
 			switch {
 			case strings.HasSuffix(*sloOut, ".json"):
 				return monitor.WriteJSONReports(w, reports)
@@ -545,22 +543,16 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 // measure runs one (topology, mode, pattern, load) point and returns
 // delivered packets per node per kilocycle, the mean packet latency in
 // cycles, the raw flit-level stats for the observability dump, and the
-// cycles the event-driven engine fast-forwarded while idle. With dense set
-// it runs the retained dense reference engine; the numbers are
-// byte-identical either way (the differential tests hold the engines to
-// that), only the wall-clock cost differs — and the dense engine never
-// fast-forwards, so its idle count is always zero. A non-nil scope traces
-// every worm's transit for critical-path attribution; a non-nil sampler
-// rides the net's cycle listener and is flushed at the final cycle, so the
-// timeline is identical whichever engine ran the point.
-func measure(topo topology.Topology, mode flitnet.Mode, vcs int, pattern workload.Pattern, load float64, cycles int, seed int64, dense bool, scope *obs.FlitScope, sampler *timeline.Sampler) (float64, float64, flitnet.Stats, uint64, error) {
+// cycles the engine fast-forwarded while idle. A non-nil scope traces every
+// worm's transit for critical-path attribution; a non-nil sampler rides the
+// net's cycle listener and is flushed at the final cycle.
+func measure(topo topology.Topology, mode flitnet.Mode, vcs int, pattern workload.Pattern, load float64, cycles int, seed int64, scope *obs.FlitScope, sampler *timeline.Sampler) (float64, float64, flitnet.Stats, uint64, error) {
 	net, err := flitnet.New(flitnet.Config{
 		Topology:        topo,
 		Mode:            mode,
 		BufferFlits:     3,
 		InjectQueue:     8,
 		VirtualChannels: vcs,
-		DenseReference:  dense,
 	})
 	if err != nil {
 		return 0, 0, flitnet.Stats{}, 0, err
@@ -628,7 +620,7 @@ func recordPoint(h *obs.Hub, mode flitnet.Mode, load float64, st flitnet.Stats, 
 	// The registry is integer-valued; keep three decimals of the mean.
 	h.Metrics.Level(key("netload_latency_mean_millicycles")).Set(int64(st.MeanLatency() * 1000))
 	// Engine-performance gauge: cycles the event-driven scheduler skipped
-	// while no flit could move (always 0 under the dense reference).
+	// while no flit could move.
 	h.Metrics.Level(key("flitnet_idle_skipped")).Set(int64(idle))
 
 	// One span per measure point, laid end to end: the span length is the
@@ -643,27 +635,6 @@ func recordPoint(h *obs.Hub, mode flitnet.Mode, load float64, st flitnet.Stats, 
 		Dur:   st.Cycles,
 		Phase: obs.PhaseComplete,
 	})
-}
-
-// writeTo renders into a file, or stdout for "-". A failed render or close
-// removes the file rather than leaving a truncated dump behind.
-func writeTo(dest string, stdout io.Writer, render func(io.Writer) error) error {
-	if dest == "-" {
-		return render(stdout)
-	}
-	f, err := os.Create(dest)
-	if err != nil {
-		return fmt.Errorf("writing %s: %w", dest, err)
-	}
-	err = render(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(dest)
-		return fmt.Errorf("writing %s: %w", dest, err)
-	}
-	return nil
 }
 
 func parseLoads(s string) ([]float64, error) {

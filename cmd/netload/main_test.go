@@ -147,11 +147,11 @@ func TestRunErrors(t *testing.T) {
 // sane (at least the minimum path length).
 func TestMeasureMonotoneBelowSaturation(t *testing.T) {
 	topo := topology.MustFatTree(2, 2)
-	lo, latLo, _, _, err := measure(topo, flitnet.Deterministic, 1, workload.Uniform{}, 0.02, 1500, 7, false, nil, nil)
+	lo, latLo, _, _, err := measure(topo, flitnet.Deterministic, 1, workload.Uniform{}, 0.02, 1500, 7, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, latHi, _, idle, err := measure(topo, flitnet.Deterministic, 1, workload.Uniform{}, 0.10, 1500, 7, false, nil, nil)
+	hi, latHi, _, idle, err := measure(topo, flitnet.Deterministic, 1, workload.Uniform{}, 0.10, 1500, 7, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,66 +335,9 @@ func TestObsNetloadServeAnswersAndShutsDownOnSIGINT(t *testing.T) {
 	}
 }
 
-// stripIdleLines removes the idle-fast-forward reporting — the one output
-// that legitimately differs between engines (the dense reference never
-// fast-forwards, so its count is always zero). Everything else must match
-// byte for byte.
-func stripIdleLines(s string) string {
-	var kept []string
-	for _, line := range strings.Split(s, "\n") {
-		if strings.Contains(line, "idle") {
-			continue
-		}
-		kept = append(kept, line)
-	}
-	return strings.Join(kept, "\n")
-}
-
-// TestObsDenseMatchesEventDriven is the tool-level half of the engine
-// equivalence contract: a full sweep — report table, metrics dump, Chrome
-// trace, covering all three routing modes — must be byte-identical between
-// the event-driven engine and the retained dense reference (-dense),
-// modulo the idle-fast-forward counters only the event engine accumulates.
-func TestObsDenseMatchesEventDriven(t *testing.T) {
-	runWith := func(extra ...string) (stdout, metrics, trace string) {
-		dir := t.TempDir()
-		mPath := filepath.Join(dir, "m.txt")
-		tPath := filepath.Join(dir, "t.json")
-		var out, errOut strings.Builder
-		args := append([]string{"-loads", "0.05,0.2", "-cycles", "300", "-k", "2", "-levels", "2",
-			"-vc", "2", "-metrics", mPath, "-trace-out", tPath}, extra...)
-		code := run(args, &out, &errOut)
-		if code != 0 {
-			t.Fatalf("%v: exit %d: %s", extra, code, errOut.String())
-		}
-		m, err := os.ReadFile(mPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr, err := os.ReadFile(tPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out.String(), string(m), string(tr)
-	}
-	eventOut, eventMetrics, eventTrace := runWith()
-	denseOut, denseMetrics, denseTrace := runWith("-dense")
-	eventOut, denseOut = stripIdleLines(eventOut), stripIdleLines(denseOut)
-	eventMetrics, denseMetrics = stripIdleLines(eventMetrics), stripIdleLines(denseMetrics)
-	if denseOut != eventOut {
-		t.Errorf("stdout differs between -dense and event-driven:\n--- dense ---\n%s--- event ---\n%s", denseOut, eventOut)
-	}
-	if denseMetrics != eventMetrics {
-		t.Errorf("metrics dump differs between -dense and event-driven:\n--- dense ---\n%s--- event ---\n%s", denseMetrics, eventMetrics)
-	}
-	if denseTrace != eventTrace {
-		t.Errorf("trace differs between -dense and event-driven:\n--- dense ---\n%s--- event ---\n%s", denseTrace, eventTrace)
-	}
-}
-
 // TestObsNetloadCritpath exercises -critpath: every sweep point gets a
 // reconciled attribution report, and the report is byte-identical across
-// worker counts and flit engines.
+// worker counts.
 func TestObsNetloadCritpath(t *testing.T) {
 	renderCP := func(extra ...string) string {
 		dir := t.TempDir()
@@ -424,9 +367,6 @@ func TestObsNetloadCritpath(t *testing.T) {
 	}
 	if got := renderCP("-parallel", "8"); got != base {
 		t.Error("critpath report differs between -parallel 1 and -parallel 8")
-	}
-	if got := renderCP("-dense"); got != base {
-		t.Error("critpath report differs between flit engines")
 	}
 }
 
@@ -501,19 +441,11 @@ func TestObsNetloadTimelineCSV(t *testing.T) {
 
 // TestObsNetloadTimelineDeterminism is the timeline determinism contract:
 // the timeline file and the report (with its phase analysis) must be
-// byte-identical at any worker count and between the event-driven engine
-// and the dense reference.
+// byte-identical at any worker count.
 func TestObsNetloadTimelineDeterminism(t *testing.T) {
 	baseOut, baseTl := renderTimeline(t, "tl.json")
 	if out, tl := renderTimeline(t, "tl.json", "-parallel", "8"); tl != baseTl || out != baseOut {
 		t.Error("timeline output differs between -parallel 1 and -parallel 8")
-	}
-	denseOut, denseTl := renderTimeline(t, "tl.json", "-dense")
-	if denseTl != baseTl {
-		t.Error("timeline file differs between flit engines")
-	}
-	if stripIdleLines(denseOut) != stripIdleLines(baseOut) {
-		t.Error("report differs between flit engines beyond idle accounting")
 	}
 }
 
@@ -587,15 +519,12 @@ func TestObsNetloadBaseline(t *testing.T) {
 }
 
 // TestObsNetloadBaselineDeterminism: the baseline report is byte-identical
-// at any worker count and between flit engines, and composes with
+// at any worker count, and composes with
 // -timeline-out (per-phase deltas ride the same report).
 func TestObsNetloadBaselineDeterminism(t *testing.T) {
 	base := renderBaseline(t, "fig6.txt")
 	if got := renderBaseline(t, "fig6.txt", "-parallel", "8"); got != base {
 		t.Error("baseline report differs between -parallel 1 and -parallel 8")
-	}
-	if got := renderBaseline(t, "fig6.txt", "-dense"); got != base {
-		t.Error("baseline report differs between flit engines")
 	}
 
 	dir := t.TempDir()

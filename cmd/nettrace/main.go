@@ -19,6 +19,7 @@ import (
 	"os"
 	"strings"
 
+	"msglayer/internal/cli"
 	"msglayer/internal/obs"
 	"msglayer/internal/obs/timeline"
 	"msglayer/internal/trace"
@@ -91,13 +92,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if hub != nil {
 		if *metricsOut != "" {
-			if err := writeTo(*metricsOut, stdout, hub.Metrics.WritePrometheus); err != nil {
+			if err := cli.WriteTo(*metricsOut, stdout, hub.Metrics.WritePrometheus); err != nil {
 				fmt.Fprintln(stderr, "nettrace:", err)
 				return 1
 			}
 		}
 		if *traceOut != "" {
-			if err := writeTo(*traceOut, stdout, hub.Trace.WriteChromeTrace); err != nil {
+			if err := cli.WriteTo(*traceOut, stdout, hub.Trace.WriteChromeTrace); err != nil {
 				fmt.Fprintln(stderr, "nettrace:", err)
 				return 1
 			}
@@ -122,7 +123,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				}
 				return timeline.WriteJSON(w, tl)
 			}
-			if err := writeTo(*timelineOut, stdout, render); err != nil {
+			if err := cli.WriteTo(*timelineOut, stdout, render); err != nil {
 				fmt.Fprintln(stderr, "nettrace:", err)
 				return 1
 			}
@@ -132,25 +133,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
-}
-
-// writeTo renders into a file, or stdout for "-". A failed render or close
-// removes the file rather than leaving a truncated dump behind.
-func writeTo(dest string, stdout io.Writer, render func(io.Writer) error) error {
-	if dest == "-" {
-		return render(stdout)
-	}
-	f, err := os.Create(dest)
-	if err != nil {
-		return fmt.Errorf("writing %s: %w", dest, err)
-	}
-	err = render(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(dest)
-		return fmt.Errorf("writing %s: %w", dest, err)
-	}
-	return nil
 }

@@ -33,16 +33,20 @@ func metricsFile(t *testing.T, dir, name, scenario string, words int) string {
 	return p
 }
 
+// TestObsdiffSelfDiffIsZero: any artifact diffed against itself is exactly
+// zero — a registry metrics export and the committed benchmark snapshot.
 func TestObsdiffSelfDiffIsZero(t *testing.T) {
-	dir := t.TempDir()
-	a := metricsFile(t, dir, "a.json", "cm5-finite", 64)
-
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-require-zero", a, a}, &stdout, &stderr); code != 0 {
-		t.Fatalf("self-diff exit = %d, stderr:\n%s", code, stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "identical: all") {
-		t.Fatalf("self-diff output missing zero statement:\n%s", stdout.String())
+	for _, a := range []string{
+		metricsFile(t, t.TempDir(), "a.json", "cm5-finite", 64),
+		filepath.Join("..", "..", "BENCH_BASELINE.json"),
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-require-zero", a, a}, &stdout, &stderr); code != 0 {
+			t.Fatalf("%s: self-diff exit = %d, stderr:\n%s", a, code, stderr.String())
+		}
+		if !strings.Contains(stdout.String(), "identical: all") {
+			t.Fatalf("%s: self-diff output missing zero statement:\n%s", a, stdout.String())
+		}
 	}
 }
 

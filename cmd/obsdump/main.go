@@ -24,6 +24,7 @@ import (
 	"strings"
 	"time"
 
+	"msglayer/internal/cli"
 	"msglayer/internal/cmam"
 	"msglayer/internal/cost"
 	"msglayer/internal/crmsg"
@@ -152,7 +153,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // writeMetrics dumps the registry in the chosen format.
 func writeMetrics(h *obs.Hub, format, dest string, stdout io.Writer) error {
-	return writeDest(dest, stdout, func(w io.Writer) error {
+	return cli.WriteTo(dest, stdout, func(w io.Writer) error {
 		if format == "json" {
 			data, err := h.Metrics.MetricsJSON()
 			if err != nil {
@@ -167,31 +168,9 @@ func writeMetrics(h *obs.Hub, format, dest string, stdout io.Writer) error {
 
 // writeTrace dumps the Chrome trace-event JSON.
 func writeTrace(h *obs.Hub, dest string, stdout io.Writer) error {
-	return writeDest(dest, stdout, func(w io.Writer) error {
+	return cli.WriteTo(dest, stdout, func(w io.Writer) error {
 		return h.Trace.WriteChromeTrace(w)
 	})
-}
-
-// writeDest renders into a file, or stdout for "-". An unwritable path is a
-// clear error, and a failed render or close removes the file instead of
-// leaving a truncated dump that looks like a valid artifact.
-func writeDest(dest string, stdout io.Writer, render func(io.Writer) error) error {
-	if dest == "-" {
-		return render(stdout)
-	}
-	f, err := os.Create(dest)
-	if err != nil {
-		return fmt.Errorf("writing %s: %w", dest, err)
-	}
-	err = render(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(dest)
-		return fmt.Errorf("writing %s: %w", dest, err)
-	}
-	return nil
 }
 
 // payload builds a deterministic test payload.

@@ -3,8 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -154,24 +152,5 @@ func TestObsDumpUnwritableTraceOut(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "writing "+dest) {
 		t.Errorf("error does not name the destination: %s", stderr.String())
-	}
-}
-
-// TestObsDumpFailedRenderRemovesPartialFile: when rendering into a file
-// fails midway, writeDest must remove the truncated artifact.
-func TestObsDumpFailedRenderRemovesPartialFile(t *testing.T) {
-	dest := filepath.Join(t.TempDir(), "trace.json")
-	renderErr := errors.New("render broke midway")
-	err := writeDest(dest, io.Discard, func(w io.Writer) error {
-		if _, werr := w.Write([]byte(`{"traceEvents":[`)); werr != nil {
-			return werr
-		}
-		return renderErr
-	})
-	if !errors.Is(err, renderErr) {
-		t.Fatalf("writeDest error = %v, want wrapped render error", err)
-	}
-	if _, statErr := os.Stat(dest); !errors.Is(statErr, os.ErrNotExist) {
-		t.Errorf("partial file left behind at %s (stat err: %v)", dest, statErr)
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"sort"
 	"strings"
 
+	"msglayer/internal/cli"
 	"msglayer/internal/experiments"
 	"msglayer/internal/obs"
 	"msglayer/internal/obs/diff"
@@ -197,7 +198,7 @@ func runLive(scenario string, words int, interval uint64, rules *monitor.RuleSet
 // concatenated with a blank line; JSON emits an array document; CSV shares
 // one header with a leading label column.
 func writeReports(dest string, stdout io.Writer, format string, reports []*monitor.Report) error {
-	return writeDest(dest, stdout, func(w io.Writer) error {
+	return cli.WriteTo(dest, stdout, func(w io.Writer) error {
 		switch format {
 		case "json":
 			return monitor.WriteJSONReports(w, reports)
@@ -227,25 +228,4 @@ func writeReports(dest string, stdout io.Writer, format string, reports []*monit
 			return nil
 		}
 	})
-}
-
-// writeDest renders into a file, or stdout for "-". A failed render or
-// close removes the file instead of leaving a truncated artifact.
-func writeDest(dest string, stdout io.Writer, render func(io.Writer) error) error {
-	if dest == "-" {
-		return render(stdout)
-	}
-	f, err := os.Create(dest)
-	if err != nil {
-		return fmt.Errorf("writing %s: %w", dest, err)
-	}
-	err = render(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(dest)
-		return fmt.Errorf("writing %s: %w", dest, err)
-	}
-	return nil
 }

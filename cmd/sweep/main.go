@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	"msglayer/internal/analytic"
+	"msglayer/internal/cli"
 	"msglayer/internal/cost"
 	"msglayer/internal/experiments"
 	"msglayer/internal/obs"
@@ -200,13 +201,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			}
 		}
 		if *metricsOut != "" {
-			if err := writeTo(*metricsOut, stdout, hub.Metrics.WritePrometheus); err != nil {
+			if err := cli.WriteTo(*metricsOut, stdout, hub.Metrics.WritePrometheus); err != nil {
 				fmt.Fprintln(stderr, "sweep:", err)
 				return 1
 			}
 		}
 		if *traceOut != "" {
-			if err := writeTo(*traceOut, stdout, hub.Trace.WriteChromeTrace); err != nil {
+			if err := cli.WriteTo(*traceOut, stdout, hub.Trace.WriteChromeTrace); err != nil {
 				fmt.Fprintln(stderr, "sweep:", err)
 				return 1
 			}
@@ -224,27 +225,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	fmt.Fprint(stdout, report.Series(title, "n", names, points))
 	return 0
-}
-
-// writeTo renders into a file, or stdout for "-". A failed render or close
-// removes the file rather than leaving a truncated dump behind.
-func writeTo(dest string, stdout io.Writer, render func(io.Writer) error) error {
-	if dest == "-" {
-		return render(stdout)
-	}
-	f, err := os.Create(dest)
-	if err != nil {
-		return fmt.Errorf("writing %s: %w", dest, err)
-	}
-	err = render(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(dest)
-		return fmt.Errorf("writing %s: %w", dest, err)
-	}
-	return nil
 }
 
 func parseSizes(s string) ([]int, error) {

@@ -94,16 +94,15 @@ func TestReconcileRefusesDroppedTrace(t *testing.T) {
 // runFlit drives a small flit network with a FlitScope attached and returns
 // the hub. Identities mix traced packets (explicit Msg/Pkt/Span) and
 // untraced ones (synthetic worm identities).
-func runFlit(t *testing.T, dense bool) *obs.Hub {
+func runFlit(t *testing.T, build func(flitnet.Config) (*flitnet.Net, error)) *obs.Hub {
 	t.Helper()
 	topo, err := topology.NewMesh(2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := flitnet.New(flitnet.Config{
+	net, err := build(flitnet.Config{
 		Topology: topo, Mode: flitnet.CR,
 		BufferFlits: 3, InjectQueue: 4, KillTimeout: 8, RetryBackoff: 4,
-		DenseReference: dense,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +136,7 @@ func runFlit(t *testing.T, dense bool) *obs.Hub {
 // events reconcile against their mirrored counters and reconstruct into
 // per-worm messages, synthetic ids marked as such.
 func TestFlitTraceReconcilesAndAttributes(t *testing.T) {
-	h := runFlit(t, false)
+	h := runFlit(t, flitnet.New)
 	if err := critpath.Reconcile(h); err != nil {
 		t.Fatalf("flit trace does not reconcile: %v", err)
 	}
@@ -162,8 +161,8 @@ func TestFlitTraceReconcilesAndAttributes(t *testing.T) {
 // the event-driven engine to byte-identical traces (and hence byte-identical
 // critpath reports).
 func TestFlitTraceIdenticalAcrossEngines(t *testing.T) {
-	render := func(dense bool) (string, string) {
-		h := runFlit(t, dense)
+	render := func(build func(flitnet.Config) (*flitnet.Net, error)) (string, string) {
+		h := runFlit(t, build)
 		var flow bytes.Buffer
 		if err := critpath.WriteChromeFlow(&flow, h.Trace.Events()); err != nil {
 			t.Fatal(err)
@@ -174,8 +173,8 @@ func TestFlitTraceIdenticalAcrossEngines(t *testing.T) {
 		}
 		return flow.String(), text.String()
 	}
-	f1, t1 := render(false)
-	f2, t2 := render(true)
+	f1, t1 := render(flitnet.New)
+	f2, t2 := render(flitnet.NewDenseReference)
 	if f1 != f2 {
 		t.Error("chrome flow export differs between event-driven and dense engines")
 	}

@@ -81,14 +81,13 @@ func BenchmarkTickLoaded(b *testing.B) {
 // cycle, the event engine jumps straight to the earliest wake.
 func idleNet(b *testing.B, dense bool) *Net {
 	b.Helper()
-	n := MustNew(Config{
-		Topology:       topology.MustMesh(16, 16),
-		Mode:           CR,
-		RetryBackoff:   1 << 20,
-		KillTimeout:    4,
-		PacketWords:    16,
-		DenseReference: dense,
-	})
+	n := newEngine(b, Config{
+		Topology:     topology.MustMesh(16, 16),
+		Mode:         CR,
+		RetryBackoff: 1 << 20,
+		KillTimeout:  4,
+		PacketWords:  16,
+	}, dense)
 	// Two long worms racing east along row 0: the second blocks behind the
 	// first past the kill timeout and parks in a retry backoff a million
 	// cycles out, leaving the mesh idle but not drained.

@@ -30,12 +30,35 @@ func (r *diffRNG) next() uint64 {
 
 func (r *diffRNG) intn(n int) int { return int(r.next() % uint64(n)) }
 
+// newEngine builds the event-driven engine, or the dense reference when
+// dense is set.
+func newEngine(tb testing.TB, cfg Config, dense bool) *Net {
+	tb.Helper()
+	build := New
+	if dense {
+		build = NewDenseReference
+	}
+	n, err := build(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return n
+}
+
 // runDiffWorkload drives one net through the seeded workload and returns a
 // transcript: every delivered packet in per-node drain order, plus the
 // final counters.
-func runDiffWorkload(t *testing.T, cfg Config, seed uint64, injections, burst int) (transcript []string, stats Stats, cycle uint64) {
+func runDiffWorkload(t *testing.T, cfg Config, dense bool, seed uint64, injections, burst int) (transcript []string, stats Stats, cycle uint64) {
 	t.Helper()
-	n := MustNew(cfg)
+	n := newEngine(t, cfg, dense)
+	transcript = driveDiffWorkload(t, n, seed, injections, burst)
+	return transcript, n.FlitStats(), n.Cycle()
+}
+
+// driveDiffWorkload runs the seeded workload on n until it drains and
+// returns the transcript of deliveries and refused injections.
+func driveDiffWorkload(t *testing.T, n *Net, seed uint64, injections, burst int) (transcript []string) {
+	t.Helper()
 	nodes := n.Nodes()
 	rng := diffRNG(seed)
 	drain := func(tag string) {
@@ -86,7 +109,7 @@ func runDiffWorkload(t *testing.T, cfg Config, seed uint64, injections, burst in
 		t.Fatalf("workload did not drain: pending=%d", n.Pending())
 	}
 	drain("end")
-	return transcript, n.FlitStats(), n.Cycle()
+	return transcript
 }
 
 // TestDenseEventEquivalence is the differential property test: the same
@@ -112,10 +135,8 @@ func TestDenseEventEquivalence(t *testing.T) {
 		for seed := uint64(1); seed <= 3; seed++ {
 			name := fmt.Sprintf("%s/seed%d", g.name, seed)
 			t.Run(name, func(t *testing.T) {
-				dense := g.cfg
-				dense.DenseReference = true
-				denseTr, denseStats, denseCycle := runDiffWorkload(t, dense, seed, 120, 5)
-				eventTr, eventStats, eventCycle := runDiffWorkload(t, g.cfg, seed, 120, 5)
+				denseTr, denseStats, denseCycle := runDiffWorkload(t, g.cfg, true, seed, 120, 5)
+				eventTr, eventStats, eventCycle := runDiffWorkload(t, g.cfg, false, seed, 120, 5)
 				if denseStats != eventStats {
 					t.Errorf("stats diverge:\n dense %+v\n event %+v", denseStats, eventStats)
 				}
@@ -165,8 +186,7 @@ func TestIdleFastForwardAccounting(t *testing.T) {
 	// The dense stepper never skips but must land on the same cycle count.
 	denseCfg := cfg
 	denseCfg.Topology = topology.MustMesh(8, 8)
-	denseCfg.DenseReference = true
-	dense := MustNew(denseCfg)
+	dense := newEngine(t, denseCfg, true)
 	_ = dense.Inject(network.Packet{Src: 0, Dst: 7, Data: long})
 	_ = dense.Inject(network.Packet{Src: 1, Dst: 7, Data: long})
 	if !dense.TickUntilQuiet(1_000_000) {

@@ -25,7 +25,7 @@ import "math/bits"
 // cycle, which the `arrived == cycle` guard skips, so visiting it or not is
 // the same no-op the dense scan performed. The ready worklist is kept
 // sorted on flow order, and flows made ready mid-phase merge in at the
-// next phase boundary. The retained dense stepper (Config.DenseReference)
+// next phase boundary. The retained dense stepper (NewDenseReference)
 // exists so tests can hold the engine to that contract.
 //
 // The hot path reads per-lane state only: a claim is recorded under the

@@ -86,14 +86,6 @@ type Config struct {
 	// MaxRetries (CR only) bounds kill/reject retries per worm before
 	// the injection is reported failed. Defaults to 64.
 	MaxRetries int
-	// DenseReference selects the retained dense scheduling core: every
-	// router × port × virtual channel is scanned every cycle, the way the
-	// engine worked before the event-driven worklists. Results are
-	// byte-identical to the default engine — the differential property
-	// test holds the two to that contract — but cost scales with topology
-	// size instead of flits in flight. Use it only as a baseline for
-	// benchmarks and for differential testing.
-	DenseReference bool
 	// VirtualChannels multiplexes each physical link over V virtual
 	// channels (Dally's flow control, one of the features the paper
 	// names as a source of out-of-order delivery). Each input port gets
@@ -410,8 +402,8 @@ type Net struct {
 	// sorted ready-flow worklist; both replay the dense scan's visiting
 	// order exactly, see engine.go for the contract.
 
-	// dense selects the retained dense reference stepper (Config.
-	// DenseReference). The active sets stay maintained either way, so a
+	// dense selects the retained dense reference stepper (see
+	// NewDenseReference). The active sets stay maintained either way, so a
 	// dense net can be compared against an event-driven twin at any point.
 	dense bool
 	// active holds every lane with at least one buffered flit, plus lanes
@@ -511,7 +503,6 @@ func New(cfg Config) (*Net, error) {
 		queued:    make([]int, nodes),
 		injecting: make([]*worm, nodes),
 		injMark:   make([]uint64, nodes),
-		dense:     cfg.DenseReference,
 		vcs:       int32(cfg.VirtualChannels),
 		portBase:  make([]int32, topo.NumRouters()),
 		srcPort:   make([]int32, nodes),
@@ -582,6 +573,22 @@ func (n *Net) popFlit(id int32) {
 		n.buffered--
 		n.bufferedVC[id%n.vcs]--
 	}
+}
+
+// NewDenseReference builds the network on the retained dense scheduling
+// core: every router × port × virtual channel is scanned every cycle, the
+// way the engine worked before the event-driven worklists. It is the
+// differential oracle the event-driven engine is held to — results are
+// byte-identical, but cost scales with topology size instead of flits in
+// flight — and the baseline of the idle fast-forward speedup bench. Use
+// it only from tests and benchmarks.
+func NewDenseReference(cfg Config) (*Net, error) {
+	n, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	n.dense = true
+	return n, nil
 }
 
 // MustNew is New that panics on bad configuration.

@@ -49,8 +49,8 @@ func recordBenches() []BenchResult {
 	return []BenchResult{
 		benchResult("flitnet-tick-steady", benchFlitnetTick),
 		benchResult("sim-kernel-churn", benchKernelChurn),
-		benchResult(BenchTickIdle, func(b *testing.B) { benchFlitnetIdle(b, false) }),
-		benchResult(BenchTickIdleDense, func(b *testing.B) { benchFlitnetIdle(b, true) }),
+		benchResult(BenchTickIdle, func(b *testing.B) { benchFlitnetIdle(b, flitnet.New) }),
+		benchResult(BenchTickIdleDense, func(b *testing.B) { benchFlitnetIdle(b, flitnet.NewDenseReference) }),
 		benchResult(BenchTickSparse, benchFlitnetSparse),
 		benchResult(BenchTickLarge, benchFlitnetLarge),
 		benchResult("timeline-sample", benchTimelineSample),
@@ -146,15 +146,15 @@ func benchFlitnetTick(b *testing.B) {
 // whose only pending worm sleeps in a retry backoff a million cycles out,
 // 1024 cycles per op. The event engine fast-forwards the idle stretch in
 // O(1); the dense reference pays the full per-cycle topology scan — the
-// ratio is the speedup the compare gate holds at ≥ 10×.
-func benchFlitnetIdle(b *testing.B, dense bool) {
-	net, err := flitnet.New(flitnet.Config{
-		Topology:       topology.MustMesh(16, 16),
-		Mode:           flitnet.CR,
-		RetryBackoff:   1 << 20,
-		KillTimeout:    4,
-		PacketWords:    16,
-		DenseReference: dense,
+// ratio is the speedup the compare gate holds at ≥ 10×. build is
+// flitnet.New or flitnet.NewDenseReference.
+func benchFlitnetIdle(b *testing.B, build func(flitnet.Config) (*flitnet.Net, error)) {
+	net, err := build(flitnet.Config{
+		Topology:     topology.MustMesh(16, 16),
+		Mode:         flitnet.CR,
+		RetryBackoff: 1 << 20,
+		KillTimeout:  4,
+		PacketWords:  16,
 	})
 	if err != nil {
 		b.Fatal(err)
