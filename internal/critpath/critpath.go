@@ -19,8 +19,9 @@
 package critpath
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"msglayer/internal/obs"
@@ -201,7 +202,7 @@ type WaterfallRow struct {
 // eventTime is the moment an event "happens" on the message timeline: an
 // instant's timestamp, a span's close (spans are recorded when they end, so
 // this keeps emission order time-ordered).
-func eventTime(e obs.TraceEvent) uint64 {
+func eventTime(e *obs.TraceEvent) uint64 {
 	if e.Phase == obs.PhaseComplete {
 		return e.TS + e.Dur
 	}
@@ -214,18 +215,46 @@ var retransMarks = []string{
 	"stale", "reack", "rereply", "failed", "duplicate", "backoff",
 }
 
-// classify attributes the gap closed by event cur: what was the message
-// doing since prev? sameNode reports whether cur happened where prev did.
-func classify(name string, sameNode bool) Category {
+// nameClass is what an event name alone says about the gap the event
+// closes; category combines it with the same-node rule.
+type nameClass uint8
+
+const (
+	// nameWork closes a work gap on the same node, a queueing gap across
+	// nodes.
+	nameWork nameClass = iota
+	// nameQueue always closes a queueing gap (flit-level wait spans).
+	nameQueue
+	nameBackpressure
+	nameRetrans
+)
+
+// classOf classifies an event name by substring search.
+func classOf(name string) nameClass {
 	if strings.Contains(name, "backpressure") {
-		return CatBackpressure
+		return nameBackpressure
 	}
 	for _, m := range retransMarks {
 		if strings.Contains(name, m) {
-			return CatRetransmission
+			return nameRetrans
 		}
 	}
-	if name == "flit.wait.queue" || name == "flit.wait.blocked" || !sameNode {
+	if name == "flit.wait.queue" || name == "flit.wait.blocked" {
+		return nameQueue
+	}
+	return nameWork
+}
+
+// category attributes the gap closed by an event of this class: what was
+// the message doing since the previous event? sameNode reports whether the
+// event happened where the previous one did.
+func (c nameClass) category(sameNode bool) Category {
+	switch {
+	case c == nameBackpressure:
+		return CatBackpressure
+	case c == nameRetrans:
+		return CatRetransmission
+	case c == nameQueue || !sameNode:
 		return CatQueueing
 	}
 	return CatWork
@@ -235,130 +264,201 @@ func classify(name string, sameNode bool) Category {
 // category its name implies when the preceding event happened on the same
 // node. The timeline's per-window breakdowns use it on counter deltas,
 // where no per-message gap reconstruction is possible.
-func ClassifyName(name string) Category { return classify(name, true) }
+func ClassifyName(name string) Category { return classOf(name).category(true) }
 
 // Analyze reconstructs per-message timelines from a recorded trace. The
 // slice must be in emission order (obs.Tracer.Events returns it that way).
+//
+// It runs in dense linear passes: the first gives every event a message
+// index (one id lookup per event) and a name class (the substring search
+// runs once per distinct name), and counts events per message; the events
+// are then grouped by message, and each message's segments are cut from
+// one slab sized by the count, walking its events in emission order.
 func Analyze(events []obs.TraceEvent) *Analysis {
 	a := &Analysis{TotalEvents: len(events)}
-	byMsg := make(map[uint64]*Message)
-	lastNode := make(map[uint64]int)    // msg -> node of previous event
-	lastTime := make(map[uint64]uint64) // msg -> running cursor
-	pkts := make(map[uint64]map[uint64]bool)
-
-	for _, e := range events {
-		if e.MsgID == 0 {
+	msgOf := make([]int32, len(events)) // event -> message index, -1 if none
+	class := make([]nameClass, len(events))
+	index := make(map[uint64]int32)
+	names := make(map[string]nameClass)
+	var count []int32
+	for i := range events {
+		e := &events[i]
+		c, ok := names[e.Name]
+		if !ok {
+			c = classOf(e.Name)
+			names[e.Name] = c
+		}
+		class[i] = c
+		id := e.MsgID
+		if id == 0 {
 			a.Unattributed++
+			msgOf[i] = -1
 			continue
 		}
-		m, ok := byMsg[e.MsgID]
-		t := eventTime(e)
+		mi, ok := index[id]
 		if !ok {
-			m = &Message{
-				ID:        e.MsgID,
-				Synthetic: e.MsgID >= syntheticBase,
-				Proto:     e.Proto,
-				SrcNode:   e.Node,
-				DstNode:   e.Node,
-				Start:     t,
-			}
-			byMsg[e.MsgID] = m
-			a.Messages = append(a.Messages, m)
-			lastNode[e.MsgID] = e.Node
-			lastTime[e.MsgID] = t
+			mi = int32(len(count))
+			index[id] = mi
+			count = append(count, 0)
 		}
-		if m.DstNode == m.SrcNode && e.Node != m.SrcNode && e.Node >= 0 {
-			m.DstNode = e.Node
-		}
-		// The first record is often the mechanism layer (a cmam.send span
-		// closes before the protocol's own start event lands); name the
-		// message after the protocol driving it once a node-level protocol
-		// event shows up (network substrate and flit events don't qualify).
-		if m.Proto == "cmam" && e.Node >= 0 && e.Proto != "cmam" && e.Proto != "" &&
-			!strings.HasPrefix(e.Name, "net.") {
-			m.Proto = e.Proto
-		}
-		if e.Phase == obs.PhaseComplete {
-			m.Spans++
-		} else {
-			m.Events++
-		}
-		if e.PktID != 0 {
-			set := pkts[e.MsgID]
-			if set == nil {
-				set = make(map[uint64]bool)
-				pkts[e.MsgID] = set
-			}
-			set[e.PktID] = true
-		}
-
-		cursor := lastTime[e.MsgID]
-		to := t
-		if to < cursor {
-			to = cursor // clamped: span starts can precede the cursor
-		}
-		role := roleOf(e.Node, m.SrcNode)
-		cat := classify(e.Name, e.Node == lastNode[e.MsgID])
-		seg := Segment{
-			From: cursor, To: to,
-			Name: e.Name, Node: e.Node, Proto: e.Proto, Axis: e.Axis,
-			Cat: cat, Role: role,
-		}
-		m.Segments = append(m.Segments, seg)
-		units := to - cursor
-		m.ByCategory[cat] += units
-		m.ByRole[role] += units
-		if cat == CatWork {
-			m.ByAxis[e.Axis] += units
-		}
-		if cat == CatRetransmission && e.Phase != obs.PhaseComplete {
-			m.Retries++
-		}
-		m.End = to
-		m.Latency = m.End - m.Start
-		lastTime[e.MsgID] = to
-		lastNode[e.MsgID] = e.Node
+		count[mi]++
+		msgOf[i] = mi
 	}
-
-	sort.Slice(a.Messages, func(i, j int) bool {
-		return a.Messages[i].Start < a.Messages[j].Start || (a.Messages[i].Start == a.Messages[j].Start && a.Messages[i].ID < a.Messages[j].ID)
-	})
-	water := make(map[WaterfallRow]uint64)
-	for _, m := range a.Messages {
-		m.Packets = len(pkts[m.ID])
-		for c := 0; c < numCategories; c++ {
-			a.ByCategory[c] += m.ByCategory[c]
-		}
-		for r := 0; r < numRoles; r++ {
-			a.ByRole[r] += m.ByRole[r]
-		}
-		for x := 0; x < numAxes; x++ {
-			a.ByAxis[x] += m.ByAxis[x]
-		}
-		for _, s := range m.Segments {
-			if s.Cat == CatWork && s.To > s.From {
-				water[WaterfallRow{Role: s.Role, Proto: s.Proto, Axis: s.Axis}] += s.To - s.From
+	n := len(count)
+	if n > 0 {
+		a.Messages, a.Latencies, a.Waterfall = messages(events, msgOf, class, count)
+		for _, m := range a.Messages {
+			for c := 0; c < numCategories; c++ {
+				a.ByCategory[c] += m.ByCategory[c]
+			}
+			for r := 0; r < numRoles; r++ {
+				a.ByRole[r] += m.ByRole[r]
+			}
+			for x := 0; x < numAxes; x++ {
+				a.ByAxis[x] += m.ByAxis[x]
 			}
 		}
-		a.Latencies = append(a.Latencies, m.Latency)
 	}
-	for k, v := range water {
-		k.Units = v
-		a.Waterfall = append(a.Waterfall, k)
-	}
-	sort.Slice(a.Waterfall, func(i, j int) bool {
-		x, y := a.Waterfall[i], a.Waterfall[j]
-		if x.Role != y.Role {
-			return x.Role < y.Role
-		}
-		if x.Proto != y.Proto {
-			return x.Proto < y.Proto
-		}
-		return x.Axis < y.Axis
-	})
-	sort.Slice(a.Latencies, func(i, j int) bool { return a.Latencies[i] < a.Latencies[j] })
-	a.Critical = criticalPath(events)
+	a.Critical = criticalPath(events, msgOf, class, n)
 	return a
+}
+
+// messages reconstructs the n = len(count) messages msgOf assigns events
+// to, returning them in origination order with the ascending latencies and
+// the sorted work waterfall. class is each event's name class; count is
+// consumed as scratch.
+func messages(events []obs.TraceEvent, msgOf []int32, class []nameClass, count []int32) ([]*Message, []uint64, []WaterfallRow) {
+	n := len(count)
+	// Group event indices by message (a counting sort, stable in emission
+	// order): message mi's events are order[off[mi]:off[mi+1]].
+	off := make([]int32, n+1)
+	for mi, c := range count {
+		off[mi+1] = off[mi] + c
+	}
+	order := make([]int32, off[n])
+	fill := count
+	copy(fill, off[:n])
+	for i, mi := range msgOf {
+		if mi >= 0 {
+			order[fill[mi]] = int32(i)
+			fill[mi]++
+		}
+	}
+
+	slab := make([]Message, n)
+	segs := make([]Segment, len(order))
+	msgs := make([]*Message, n)
+	lat := make([]uint64, n)
+	water := make(map[WaterfallRow]uint64)
+	var pkts []uint64
+	for mi := range slab {
+		m := &slab[mi]
+		msgs[mi] = m
+		evs := order[off[mi]:off[mi+1]]
+		first := &events[evs[0]]
+		cursor, lastNode := eventTime(first), first.Node
+		*m = Message{
+			ID:        first.MsgID,
+			Synthetic: first.MsgID >= syntheticBase,
+			Proto:     first.Proto,
+			SrcNode:   first.Node,
+			DstNode:   first.Node,
+			Start:     cursor,
+			Segments:  segs[off[mi]:off[mi+1]:off[mi+1]],
+		}
+		pkts = pkts[:0]
+		for k, ei := range evs {
+			e := &events[ei]
+			if m.DstNode == m.SrcNode && e.Node != m.SrcNode && e.Node >= 0 {
+				m.DstNode = e.Node
+			}
+			// The first record is often the mechanism layer (a cmam.send span
+			// closes before the protocol's own start event lands); name the
+			// message after the protocol driving it once a node-level protocol
+			// event shows up (network substrate and flit events don't qualify).
+			if m.Proto == "cmam" && e.Node >= 0 && e.Proto != "cmam" && e.Proto != "" &&
+				!strings.HasPrefix(e.Name, "net.") {
+				m.Proto = e.Proto
+			}
+			if e.Phase == obs.PhaseComplete {
+				m.Spans++
+			} else {
+				m.Events++
+			}
+			if e.PktID != 0 {
+				pkts = append(pkts, e.PktID)
+			}
+			to := eventTime(e)
+			if to < cursor {
+				to = cursor // clamped: span starts can precede the cursor
+			}
+			role := roleOf(e.Node, m.SrcNode)
+			cat := class[ei].category(e.Node == lastNode)
+			m.Segments[k] = Segment{
+				From: cursor, To: to,
+				Name: e.Name, Node: e.Node, Proto: e.Proto, Axis: e.Axis,
+				Cat: cat, Role: role,
+			}
+			units := to - cursor
+			m.ByCategory[cat] += units
+			m.ByRole[role] += units
+			if cat == CatWork {
+				m.ByAxis[e.Axis] += units
+				if units > 0 {
+					water[WaterfallRow{Role: role, Proto: e.Proto, Axis: e.Axis}] += units
+				}
+			}
+			if cat == CatRetransmission && e.Phase != obs.PhaseComplete {
+				m.Retries++
+			}
+			cursor, lastNode = to, e.Node
+		}
+		m.End = cursor
+		m.Latency = m.End - m.Start
+		m.Packets = distinct(pkts)
+		lat[mi] = m.Latency
+	}
+
+	slices.SortFunc(msgs, func(x, y *Message) int {
+		if c := cmp.Compare(x.Start, y.Start); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.ID, y.ID)
+	})
+	slices.Sort(lat)
+	var rows []WaterfallRow
+	if len(water) > 0 {
+		rows = make([]WaterfallRow, 0, len(water))
+		for k, v := range water {
+			k.Units = v
+			rows = append(rows, k)
+		}
+		slices.SortFunc(rows, func(x, y WaterfallRow) int {
+			if x.Role != y.Role {
+				return cmp.Compare(x.Role, y.Role)
+			}
+			if x.Proto != y.Proto {
+				return strings.Compare(x.Proto, y.Proto)
+			}
+			return cmp.Compare(x.Axis, y.Axis)
+		})
+	}
+	return msgs, lat, rows
+}
+
+// distinct counts the distinct values in ids, reordering it.
+func distinct(ids []uint64) int {
+	if len(ids) < 2 {
+		return len(ids)
+	}
+	slices.Sort(ids)
+	d := 1
+	for i := 1; i < len(ids); i++ {
+		if ids[i] != ids[i-1] {
+			d++
+		}
+	}
+	return d
 }
 
 // syntheticBase mirrors the flit simulator's synthetic message-id offset.
@@ -412,56 +512,85 @@ func (a *Analysis) MeanLatency() float64 {
 	return float64(sum) / float64(len(a.Latencies))
 }
 
+// denseNodes bounds the node values criticalPath tracks in a slice
+// (indexed by node+1, so the network's -1 fits); others use a map.
+const denseNodes = 1 << 16
+
 // criticalPath chains events across messages: an event's predecessor is the
 // later of the previous event of its message and the previous event on its
 // node, and the path is the backward chain from the run's last event. One
 // forward pass records predecessor indices; the backtrack is O(path).
-func criticalPath(events []obs.TraceEvent) CriticalPath {
+// msgOf is Analyze's event -> message index (-1 for none) over n messages,
+// class its event -> name class.
+func criticalPath(events []obs.TraceEvent, msgOf []int32, class []nameClass, n int) CriticalPath {
 	var cp CriticalPath
 	if len(events) == 0 {
 		return cp
 	}
 	pred := make([]int32, len(events))
-	lastOfMsg := make(map[uint64]int32)
-	lastOnNode := make(map[int]int32)
-	for i, e := range events {
+	lastOfMsg := make([]int32, n)
+	for i := range lastOfMsg {
+		lastOfMsg[i] = -1
+	}
+	var lastOnNode []int32
+	var farNodes map[int]int32
+	for i := range events {
 		p := int32(-1)
-		if j, ok := lastOfMsg[e.MsgID]; ok && e.MsgID != 0 {
-			p = j
+		if mi := msgOf[i]; mi >= 0 {
+			p = lastOfMsg[mi]
+			lastOfMsg[mi] = int32(i)
 		}
-		if j, ok := lastOnNode[e.Node]; ok && j > p {
-			p = j
+		node := events[i].Node
+		if slot := node + 1; slot >= 0 && slot < denseNodes {
+			for slot >= len(lastOnNode) {
+				lastOnNode = append(lastOnNode, -1)
+			}
+			if j := lastOnNode[slot]; j > p {
+				p = j
+			}
+			lastOnNode[slot] = int32(i)
+		} else {
+			if j, ok := farNodes[node]; ok && j > p {
+				p = j
+			}
+			if farNodes == nil {
+				farNodes = make(map[int]int32)
+			}
+			farNodes[node] = int32(i)
 		}
 		pred[i] = p
-		if e.MsgID != 0 {
-			lastOfMsg[e.MsgID] = int32(i)
-		}
-		lastOnNode[e.Node] = int32(i)
 	}
-	var chain []int32
+	steps := 0
 	for i := int32(len(events) - 1); i >= 0; i = pred[i] {
-		chain = append(chain, i)
+		steps++
 	}
-	// Reverse into time order and build steps.
+	// The chain in time order: chain[steps-1] is the run's last event.
+	chain := make([]int32, steps)
+	k := steps
+	for i := int32(len(events) - 1); i >= 0; i = pred[i] {
+		k--
+		chain[k] = i
+	}
+	cp.Steps = make([]PathStep, steps)
 	var prevTime uint64
 	var prevNode int
-	for k := len(chain) - 1; k >= 0; k-- {
-		e := events[chain[k]]
+	for k, ei := range chain {
+		e := &events[ei]
 		t := eventTime(e)
 		if t < prevTime {
 			t = prevTime
 		}
 		step := PathStep{Name: e.Name, Node: e.Node, MsgID: e.MsgID, Time: t}
-		if len(cp.Steps) > 0 {
+		if k > 0 {
 			step.Gap = t - prevTime
-			step.Cat = classify(e.Name, e.Node == prevNode)
+			step.Cat = class[ei].category(e.Node == prevNode)
 			cp.ByCategory[step.Cat] += step.Gap
 		}
-		cp.Steps = append(cp.Steps, step)
+		cp.Steps[k] = step
 		prevTime, prevNode = t, e.Node
 	}
-	if n := len(cp.Steps); n > 1 {
-		cp.Span = cp.Steps[n-1].Time - cp.Steps[0].Time
+	if steps > 1 {
+		cp.Span = cp.Steps[steps-1].Time - cp.Steps[0].Time
 	}
 	return cp
 }

@@ -355,7 +355,7 @@ func WriteChromeFlow(w io.Writer, events []obs.TraceEvent) error {
 		id := e.MsgID
 		flow := chromeFlowEvent{
 			Name: "msg", Cat: "flow", Phase: ph,
-			TS: eventTime(e), PID: 1, TID: tidOf(e.Node), ID: &id,
+			TS: eventTime(&e), PID: 1, TID: tidOf(e.Node), ID: &id,
 		}
 		if ph == "f" {
 			flow.BP = "e" // bind the arrow head to the enclosing slice

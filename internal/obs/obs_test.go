@@ -469,3 +469,35 @@ func TestObsExportersIncludeQuantiles(t *testing.T) {
 		t.Fatal("histogram series missing from JSON export")
 	}
 }
+
+// TestFlitScopeSpanAxisCache: spans carry AxisForEvent's attribution for
+// every name, past the cache bound too, and register no counter series.
+func TestFlitScopeSpanAxisCache(t *testing.T) {
+	h := NewHub()
+	s := h.FlitScope()
+	names := []string{"flit.xfer", "flit.wait.queue", "flit.wait.blocked", "flit.wait.backoff", "flit.xfer"}
+	for i := 0; i < 2*maxSpanAxes; i++ {
+		names = append(names, "flit.extra."+strings.Repeat("x", i))
+	}
+	before, _, _ := h.Metrics.SeriesCounts()
+	for pass := 0; pass < 2; pass++ {
+		for i, name := range names {
+			s.Span(name, uint64(i), uint64(i+2), 1, 1, 0)
+		}
+	}
+	if after, _, _ := h.Metrics.SeriesCounts(); after != before {
+		t.Fatalf("spans registered %d counter series", after-before)
+	}
+	events := h.Trace.Events()
+	if len(events) != 2*len(names) {
+		t.Fatalf("recorded %d spans, want %d", len(events), 2*len(names))
+	}
+	for _, e := range events {
+		if want := AxisForEvent(e.Name); e.Axis != want {
+			t.Fatalf("span %q: axis %v, want %v", e.Name, e.Axis, want)
+		}
+	}
+	if len(s.spanAxes) != maxSpanAxes {
+		t.Fatalf("span-axis cache holds %d names, bound %d", len(s.spanAxes), maxSpanAxes)
+	}
+}

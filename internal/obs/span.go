@@ -225,7 +225,21 @@ type flitEventEntry struct {
 type FlitScope struct {
 	hub    *Hub
 	events map[string]*flitEventEntry
+	// spanAxes caches AxisForEvent for the few span names the engine
+	// emits. Spans mirror no counter, so they stay out of events: an entry
+	// there would register a protocol_events_total series.
+	spanAxes []spanAxis
 }
+
+// spanAxis is one cached span-name attribution.
+type spanAxis struct {
+	name string
+	axis Axis
+}
+
+// maxSpanAxes bounds the span-axis cache; names past it are looked up
+// each time.
+const maxSpanAxes = 8
 
 // FlitScope returns the recording scope for the flit-level network.
 func (h *Hub) FlitScope() *FlitScope {
@@ -330,6 +344,21 @@ func (s *FlitScope) LinkCounter(router, port int) *Counter {
 	})
 }
 
+// spanAxis resolves a span name's Feature axis through the scope's cache:
+// a short scan of constant names instead of a string-keyed map lookup.
+func (s *FlitScope) spanAxis(name string) Axis {
+	for i := range s.spanAxes {
+		if s.spanAxes[i].name == name {
+			return s.spanAxes[i].axis
+		}
+	}
+	axis := AxisForEvent(name)
+	if len(s.spanAxes) < maxSpanAxes {
+		s.spanAxes = append(s.spanAxes, spanAxis{name: name, axis: axis})
+	}
+	return axis
+}
+
 // Span records a completed flit-level duration event covering cycles
 // [from, to], returning the allocated span id. Zero-length spans are
 // dropped (and return 0).
@@ -346,7 +375,7 @@ func (s *FlitScope) Span(name string, from, to, msg, pkt, parent uint64) uint64 
 		Node:   -1,
 		Name:   name,
 		Proto:  flitProto,
-		Axis:   AxisForEvent(name),
+		Axis:   s.spanAxis(name),
 		MsgID:  msg,
 		PktID:  pkt,
 		SpanID: id,
